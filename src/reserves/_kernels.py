@@ -1,11 +1,9 @@
-"""Augmenting-path b-matching kernels over flat CSR arrays.
+"""Augmenting-path b-matching kernels over flat CSR lists.
 
 This is the one hot loop in the package: every rule queries maximum matching
 sizes of (reduced) reservation graphs, and the rejection scan does so once
-per agent. The kernels are written as plain Python over numpy arrays. When
-numba is installed (the ``jit`` extra) they are compiled with it; otherwise,
-or with ``RESERVES_NO_NUMBA=1``, the same functions run uncompiled, with the
-same results. ``benchmarks/bench_matching.py`` compares the two paths.
+per agent. The kernels are plain Python over lists of ints, which are the
+cheapest containers to index from the interpreter.
 
 Conventions: left vertices are agent ids ``0..n-1`` (rows of the CSR), right
 vertices are dense category columns. ``epos[k]`` is the priority position of
@@ -16,18 +14,13 @@ category ``c`` occupy ``slots[slot_base[c] : slot_base[c] + used[c]]``.
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-THR_INF = np.int64(2**31)
+THR_INF = 2**31
 
 
 def greedy(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots):
     """Seed pass: first live category with spare capacity, in scan order."""
     got = 0
-    for oi in range(order.shape[0]):
-        u = order[oi]
+    for u in order:
         if not alive[u] or match[u] >= 0:
             continue
         for k in range(indptr[u], indptr[u + 1]):
@@ -55,16 +48,16 @@ def augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visi
             match[u] = c
             return True
         for s in range(slot_base[c], slot_base[c] + used[c]):
-            a = slots[s]
-            if augment(a, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visited):
+            if augment(slots[s], indptr, cats, epos, thr, cap, used, slot_base, slots, match,
+                       visited):
                 slots[s] = u
                 match[u] = c
                 return True
     return False
 
 
-def augment_all(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots,
-                visited, need):
+def augment_pass(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots,
+                 need):
     """One augmentation attempt per unmatched agent, in scan order, stopping
     after ``need`` augmentations. Starting from any valid partial matching,
     with ``need`` at least the missing size, this reaches maximum cardinality.
@@ -74,48 +67,14 @@ def augment_all(order, alive, match, indptr, cats, epos, thr, cap, used, slot_ba
     until the matching changes, so skipping it leaves every search's path as
     it would be with a fresh ``visited``."""
     got = 0
-    visited[:] = False
-    for oi in range(order.shape[0]):
+    n_cols = len(cap)
+    visited = [False] * n_cols
+    for u in order:
         if got >= need:
             break
-        u = order[oi]
         if not alive[u] or match[u] >= 0:
             continue
         if augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visited):
             got += 1
-            visited[:] = False
+            visited = [False] * n_cols
     return got
-
-
-USING_NUMBA = False
-if not os.environ.get("RESERVES_NO_NUMBA"):
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        greedy = njit(cache=True)(greedy)
-        augment = njit(cache=True)(augment)
-        augment_all = njit(cache=True)(augment_all)
-        USING_NUMBA = True
-
-
-def warm_up() -> None:
-    """Force compilation on a two-edge graph (no-op on the pure path)."""
-    indptr = np.array([0, 2], dtype=np.int64)
-    cats = np.array([0, 1], dtype=np.int64)
-    epos = np.zeros(2, dtype=np.int64)
-    thr = np.full(2, THR_INF, dtype=np.int64)
-    cap = np.ones(2, dtype=np.int64)
-    used = np.zeros(2, dtype=np.int64)
-    slot_base = np.array([0, 1], dtype=np.int64)
-    slots = np.full(2, -1, dtype=np.int64)
-    match = np.full(1, -1, dtype=np.int64)
-    visited = np.zeros(2, dtype=np.bool_)
-    alive = np.ones(1, dtype=np.bool_)
-    order = np.zeros(1, dtype=np.int64)
-    greedy(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots)
-    match[0] = -1
-    used[0] = 0
-    augment_all(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots,
-                visited, 1)

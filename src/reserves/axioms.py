@@ -99,10 +99,18 @@ def check_respect_priorities(inst: Instance, m: Matching,
     """No unmatched agent may strictly outrank a matched agent in her category."""
     validate_matching(inst, m)
     unmatched = [j for j in range(inst.n) if not m.is_matched(j)]
-    bad = [EnvyWitness(j, i, c)
-           for i, c in m.pairs()
-           for j in unmatched
-           if inst.position(c, j) < inst.position(c, i)]
+    # an unmatched agent can envy in c only if she outranks c's worst holder
+    held: dict[int, list[tuple[int, int]]] = {}
+    for i, c in m.pairs():
+        held.setdefault(c, []).append((inst.position(c, i), i))
+    bad = []
+    for c, holders in held.items():
+        position = inst.categories[c].ranking.position
+        worst = max(holders)[0]
+        for j in unmatched:
+            pj = position(j)
+            if pj < worst:
+                bad.extend(EnvyWitness(j, i, c) for pi, i in holders if pj < pi)
     bad.sort(key=lambda w: (w.envier, w.envied, w.category))
     return _report("respect_priorities", bad, max_witnesses)
 

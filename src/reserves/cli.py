@@ -220,7 +220,10 @@ def _run_rule(rule: str, inst: Instance, doc: dict, args):
     if rule == "da":
         if not args.prefs:
             raise PreconditionError("rule da needs --prefs <path>")
-        prefs_doc = json.loads(_read(args.prefs).decode("utf-8"))
+        try:
+            prefs_doc = json.loads(_read(args.prefs).decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise ParseError(f"preferences file is not UTF-8: {e}") from None
         if isinstance(prefs_doc, dict) and "prefs" in prefs_doc:
             prefs_doc = prefs_doc["prefs"]
         if not isinstance(prefs_doc, dict):
@@ -231,6 +234,8 @@ def _run_rule(rule: str, inst: Instance, doc: dict, args):
         for agent, cats in prefs_doc.items():
             if agent not in agent_ids:
                 raise ValidationError(f"unknown agent {agent!r} in preferences")
+            if not isinstance(cats, list):
+                raise ParseError(f"category list for agent {agent!r} must be a JSON array")
             try:
                 prefs[agent_ids[agent]] = [cat_ids[c] for c in cats]
             except (KeyError, TypeError):

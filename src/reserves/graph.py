@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from . import _kernels
 from .model import Instance, Matching, ValidationError
@@ -43,47 +42,39 @@ class ReservationGraph:
     @cached_property
     def _arrays(self):
         n_rows = max(self.left) + 1 if self.left else 0
-        n_cols = len(self.right)
         col = {c: j for j, (c, _) in enumerate(self.right)}
         by_row: list[list[int]] = [[] for _ in range(n_rows)]
         for a, c in self.edges:
             by_row[a].append(col[c])
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        cats = np.zeros(len(self.edges), dtype=np.int64)
-        k = 0
+        indptr = [0]
+        cats: list[int] = []
         for a in range(n_rows):
-            for j in sorted(by_row[a]):
-                cats[k] = j
-                k += 1
-            indptr[a + 1] = k
+            cats.extend(sorted(by_row[a]))
+            indptr.append(len(cats))
         bound = max(len(self.left), 1)
-        cap = np.array([min(q, bound) for _, q in self.right], dtype=np.int64)
-        slot_base = np.zeros(n_cols, dtype=np.int64)
-        if n_cols:
-            slot_base[1:] = np.cumsum(cap)[:-1]
-        alive = np.zeros(n_rows, dtype=np.bool_)
+        cap = [min(q, bound) for _, q in self.right]
+        slot_base = [0, *accumulate(cap)][:len(cap)]
+        alive = [False] * n_rows
         for a in self.left:
             alive[a] = True
-        order = np.array(self.scan_order, dtype=np.int64)
-        return indptr, cats, cap, slot_base, alive, order
+        return indptr, cats, cap, slot_base, alive, list(self.scan_order)
 
-    def _solve(self, order: Optional[Sequence[int]] = None) -> np.ndarray:
+    def _solve(self, order: Optional[Sequence[int]] = None) -> list[int]:
         indptr, cats, cap, slot_base, alive, scan = self._arrays
         if order is not None:
             if sorted(order) != sorted(self.left):
                 raise ValidationError("tiebreak order must enumerate the left vertices")
-            scan = np.array(order, dtype=np.int64)
-        n_rows = indptr.shape[0] - 1
-        n_cols = len(self.right)
-        epos = np.zeros(cats.shape[0], dtype=np.int64)
-        thr = np.full(n_cols, _kernels.THR_INF, dtype=np.int64)
-        match = np.full(n_rows, -1, dtype=np.int64)
-        used = np.zeros(n_cols, dtype=np.int64)
-        slots = np.full(int(cap.sum()), -1, dtype=np.int64)
-        visited = np.zeros(n_cols, dtype=np.bool_)
+            scan = list(order)
+        n_rows = len(alive)
+        n_cols = len(cap)
+        epos = [0] * len(cats)
+        thr = [_kernels.THR_INF] * n_cols
+        match = [-1] * n_rows
+        used = [0] * n_cols
+        slots = [-1] * sum(cap)
         _kernels.greedy(scan, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots)
-        _kernels.augment_all(scan, alive, match, indptr, cats, epos, thr, cap, used,
-                             slot_base, slots, visited, n_rows)
+        _kernels.augment_pass(scan, alive, match, indptr, cats, epos, thr, cap, used,
+                              slot_base, slots, n_rows)
         return match
 
 
@@ -122,7 +113,8 @@ def reduced_graph(inst: Instance, cats: Optional[Iterable[int]] = None,
 
 def max_matching_size(g: ReservationGraph) -> int:
     """Number of edges in a maximum matching (agents once, categories up to capacity)."""
-    return int(np.count_nonzero(g._solve() >= 0))
+    match = g._solve()
+    return len(match) - match.count(-1)
 
 
 def max_matching(g: ReservationGraph, order: Optional[Sequence[int]] = None) -> Matching:
@@ -130,7 +122,7 @@ def max_matching(g: ReservationGraph, order: Optional[Sequence[int]] = None) -> 
     seeding then augmentation, scanning agents in ``order`` (default: the
     graph's scan order) and categories in declaration order."""
     match = g._solve(order)
-    return Matching({a: g.right[match[a]][0] for a in range(match.shape[0]) if match[a] >= 0})
+    return Matching({a: g.right[c][0] for a, c in enumerate(match) if c >= 0})
 
 
 def _check_cats(inst: Instance, cats: Optional[Iterable[int]]) -> tuple[int, ...]:

@@ -393,7 +393,8 @@ def _require(doc: dict, key: str, typ, where: str):
     if key not in doc:
         raise ParseError(f"missing key {key!r} in {where}")
     val = doc[key]
-    if not isinstance(val, typ):
+    # bool is a subclass of int, but true/false is never a count
+    if not isinstance(val, typ) or (typ is int and isinstance(val, bool)):
         raise ParseError(f"{where}.{key} has wrong type {type(val).__name__}")
     return val
 
@@ -404,6 +405,13 @@ def _resolve(name, ids: dict[str, int], where: str) -> int:
     if name not in ids:
         raise ValidationError(f"unknown agent {name!r} in {where}")
     return ids[name]
+
+
+def _parse_tiers(tiers_doc: list, ids: dict[str, int], where: str) -> tuple[tuple[int, ...], ...]:
+    for tier in tiers_doc:
+        if not isinstance(tier, list):
+            raise ParseError(f"each tier in {where} must be a JSON array")
+    return tuple(tuple(_resolve(a, ids, where) for a in tier) for tier in tiers_doc)
 
 
 def parse_instance(data: Union[bytes, str]) -> Instance:
@@ -450,11 +458,8 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
         quota = _require(cd, "quota", int, f"category {name!r}")
         kind = _require(cd, "kind", str, f"category {name!r}")
         if kind == "preferential":
-            tiers_doc = _require(cd, "tiers", list, f"category {name!r}")
-            tiers = tuple(
-                tuple(_resolve(a, ids, f"category {name!r}") for a in tier)
-                for tier in tiers_doc
-            )
+            tiers = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),
+                                 ids, f"category {name!r}")
             cutoff = _require(cd, "cutoff", int, f"category {name!r}")
             categories.append(Category(name, quota, Kind.PREFERENTIAL, PriorityRanking(tiers, cutoff)))
         elif kind == "unreserved":
@@ -463,11 +468,10 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
             unreserved_doc = (name, quota, cd)
             base_ranking = PriorityRanking(tuple((a,) for a in baseline), n)
             if "tiers" in cd:
-                tiers = tuple(
-                    tuple(_resolve(a, ids, f"category {name!r}") for a in tier)
-                    for tier in cd["tiers"]
-                )
-                given = PriorityRanking(tiers, cd.get("cutoff", n))
+                tiers = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),
+                                     ids, f"category {name!r}")
+                cutoff = _require(cd, "cutoff", int, f"category {name!r}") if "cutoff" in cd else n
+                given = PriorityRanking(tiers, cutoff)
                 if given != base_ranking:
                     raise ValidationError(
                         f"unreserved category {name!r} priority must equal the baseline"

@@ -13,9 +13,8 @@ variant that hands leftover preferential units to ineligible agents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from . import _kernels
 from .model import Instance, Matching, ValidationError
@@ -68,44 +67,37 @@ class _RejectionEngine:
         for c in self.cat_ids:
             for a in inst.agents_eligible_for(c):
                 rows[a].append((col[c], inst.position(c, a)))
-        n_edges = sum(len(r) for r in rows)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        self.cats = np.zeros(n_edges, dtype=np.int64)
-        self.epos = np.zeros(n_edges, dtype=np.int64)
-        # pos[j, a]: priority position of agent a in column j (edges only)
-        self.pos = np.zeros((n_cols, n), dtype=np.int64)
-        k = 0
+        self.indptr = [0]
+        self.cats: list[int] = []
+        self.epos: list[int] = []
+        # pos[j][a]: priority position of agent a in column j (edges only)
+        self.pos = [[0] * n for _ in range(n_cols)]
         for a in range(n):
             for j, pos in sorted(rows[a]):
-                self.cats[k] = j
-                self.epos[k] = pos
-                self.pos[j, a] = pos
-                k += 1
-            self.indptr[a + 1] = k
+                self.cats.append(j)
+                self.epos.append(pos)
+                self.pos[j][a] = pos
+            self.indptr.append(len(self.cats))
         bound = max(n, 1)
-        self.cap = np.array([min(inst.categories[c].quota, bound) for c in self.cat_ids],
-                            dtype=np.int64)
-        self.slot_base = np.zeros(n_cols, dtype=np.int64)
-        if n_cols:
-            self.slot_base[1:] = np.cumsum(self.cap)[:-1]
-        self.slots = np.full(int(self.cap.sum()), -1, dtype=np.int64)
-        self.used = np.zeros(n_cols, dtype=np.int64)
-        self.visited = np.zeros(n_cols, dtype=np.bool_)
-        self.thr = np.full(n_cols, _kernels.THR_INF, dtype=np.int64)
-        self.alive = np.zeros(n, dtype=np.bool_)
+        self.cap = [min(inst.categories[c].quota, bound) for c in self.cat_ids]
+        self.slot_base = [0, *accumulate(self.cap)][:n_cols]
+        self.slots = [-1] * sum(self.cap)
+        self.used = [0] * n_cols
+        self.thr = [_kernels.THR_INF] * n_cols
+        self.alive = [False] * n
         for a in active:
             self.alive[a] = True
-        self.order = np.array(inst.baseline, dtype=np.int64)
-        self.match = np.full(n, -1, dtype=np.int64)
+        self.order = list(inst.baseline)
+        self.match = [-1] * n
         self._args = (self.indptr, self.cats, self.epos, self.thr, self.cap,
                       self.used, self.slot_base, self.slots)
         _kernels.greedy(self.order, self.alive, self.match, *self._args)
-        _kernels.augment_all(self.order, self.alive, self.match, *self._args, self.visited, n)
+        _kernels.augment_pass(self.order, self.alive, self.match, *self._args, n)
         self.ms = self.size()
         self._snap = None
 
     def size(self) -> int:
-        return int(np.count_nonzero(self.match >= 0))
+        return len(self.match) - self.match.count(-1)
 
     def test_remove(self, i: int, prune: bool) -> int:
         """Tentatively drop agent ``i`` (pruning outranked edges when asked)
@@ -116,26 +108,27 @@ class _RejectionEngine:
         The new graph is a subgraph of the old one, so its maximum is at most
         the current size: if no pair died the matching is still maximum, and
         otherwise re-augmentation stops once the lost pairs are made up."""
-        self._snap = (i, self.match.copy(), self.thr.copy(), self.used.copy(),
-                      self.slots.copy())
-        self.alive[i] = False
-        match, thr, used, slots = self.match, self.thr, self.used, self.slots
+        match, thr, used, slots, alive = self.match, self.thr, self.used, self.slots, self.alive
+        self._snap = (i, match[:], thr[:], used[:], slots[:])
+        alive[i] = False
         hit = set()  # columns that may hold a dead pair
         if match[i] >= 0:
             hit.add(match[i])
         if prune:
+            cats, epos = self.cats, self.epos
             for k in range(self.indptr[i], self.indptr[i + 1]):
-                c = self.cats[k]
-                if self.epos[k] < thr[c]:
-                    thr[c] = self.epos[k]
+                c = cats[k]
+                if epos[k] < thr[c]:
+                    thr[c] = epos[k]
                     hit.add(c)
         dropped = 0
         for c in hit:
+            pos, t = self.pos[c], thr[c]
             base, end = self.slot_base[c], self.slot_base[c] + used[c]
             out = base
             for s in range(base, end):
                 a = slots[s]
-                if self.alive[a] and self.pos[c, a] <= thr[c]:
+                if alive[a] and pos[a] <= t:
                     slots[out] = a
                     out += 1
                 else:
@@ -143,8 +136,7 @@ class _RejectionEngine:
             used[c] = out - base
             dropped += end - out
         if dropped:
-            _kernels.augment_all(self.order, self.alive, match, *self._args, self.visited,
-                                 dropped)
+            _kernels.augment_pass(self.order, alive, match, *self._args, dropped)
         return self.size()
 
     def keep(self) -> None:
@@ -163,14 +155,15 @@ class _RejectionEngine:
         """Deterministic maximum matching of the current reduced graph:
         greedy in baseline order, categories in declaration order, then
         augmentation in baseline order (same policy as graph.max_matching)."""
-        match = np.full(self.inst.n, -1, dtype=np.int64)
-        used = np.zeros(len(self.cat_ids), dtype=np.int64)
-        slots = np.full(int(self.cap.sum()), -1, dtype=np.int64)
+        n = self.inst.n
+        match = [-1] * n
+        used = [0] * len(self.cat_ids)
+        slots = [-1] * len(self.slots)
         args = (self.indptr, self.cats, self.epos, self.thr, self.cap,
                 used, self.slot_base, slots)
         _kernels.greedy(self.order, self.alive, match, *args)
-        _kernels.augment_all(self.order, self.alive, match, *args, self.visited, self.inst.n)
-        return Matching({a: self.cat_ids[match[a]] for a in range(self.inst.n) if match[a] >= 0})
+        _kernels.augment_pass(self.order, self.alive, match, *args, n)
+        return Matching({a: self.cat_ids[c] for a, c in enumerate(match) if c >= 0})
 
 
 def rr(inst: Instance, cats: Optional[Iterable[int]] = None) -> tuple[Matching, RrTrace]:

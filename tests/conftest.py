@@ -3,14 +3,7 @@ import random
 
 import pytest
 
-from reserves import _kernels
 from reserves.model import Instance, parse_instance
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels once so timed tests see steady-state costs
-    _kernels.warm_up()
 
 
 def make_instance(doc: dict) -> Instance:

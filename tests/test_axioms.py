@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from conftest import make_instance
-from reserves.axioms import (check_eligibility, check_max_beneficiary,
+from reserves.axioms import (EnvyWitness, check_eligibility, check_max_beneficiary,
                              check_max_size, check_nonwasteful,
                              check_order_preservation, check_respect_priorities,
                              check_strategyproofness, check_weak_nonbossiness)
@@ -44,6 +46,40 @@ def test_respect_priorities_vacuous_when_everyone_matched():
                            "tiers": [["b"], ["a"]], "cutoff": 2}]}
     inst = make_instance(doc)
     assert check_respect_priorities(inst, Matching({0: 0, 1: 0})).holds
+
+
+def _respect_priorities_reference(inst, m):
+    """Every (matched, unmatched) pair compared directly."""
+    unmatched = [j for j in range(inst.n) if not m.is_matched(j)]
+    bad = [EnvyWitness(j, i, c)
+           for i, c in m.pairs()
+           for j in unmatched
+           if inst.position(c, j) < inst.position(c, i)]
+    return sorted(bad, key=lambda w: (w.envier, w.envied, w.category))
+
+
+def test_respect_priorities_matches_pairwise_reference():
+    violations = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        inst = random_instance(rng.randint(1, 25), rng.randint(1, 4), max_quota=3,
+                               eligibility_density=rng.choice((0.3, 0.7)),
+                               tie_prob=rng.choice((0.0, 0.5)), seed=seed, unreserved=2)
+        room = {c: cat.quota for c, cat in enumerate(inst.categories)}
+        assignment = {}
+        for a in rng.sample(range(inst.n), rng.randint(0, inst.n)):
+            c = rng.randrange(len(inst.categories))
+            if room[c]:
+                room[c] -= 1
+                assignment[a] = c
+        m = Matching(assignment)
+        ref = _respect_priorities_reference(inst, m)
+        violations += bool(ref)
+        for cap in (0, 3, 10, 1000):
+            rep = check_respect_priorities(inst, m, max_witnesses=cap)
+            assert rep.witnesses == tuple(ref[:cap]), seed
+            assert (rep.holds, rep.witnesses_total) == (not ref, len(ref)), seed
+    assert violations > 100
 
 
 def test_nonwasteful(running):

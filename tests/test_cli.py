@@ -117,6 +117,53 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def input_error(capsys, argv):
+    """Run argv and assert it fails as an input error: exit 2 with one line."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+def test_booleans_are_not_counts(tmp_path, capsys):
+    for cat, split in (({"quota": True}, None), ({"cutoff": True}, None),
+                       ({}, {"first": True, "last": 0}), ({}, {"first": 0, "last": False})):
+        doc = json.loads(json.dumps(RESERVE_DOC))
+        doc["categories"][0].update(cat)
+        doc["categories"][1]["quota"] = 1
+        if split is not None:
+            doc["unreserved_split"] = split
+        inst = write(tmp_path, "i.json", doc)
+        assert "wrong type bool" in input_error(
+            capsys, ["allocate", "--rule", "rr", "--instance", inst])
+
+
+def test_non_utf8_prefs_file(tmp_path, capsys):
+    inst = write(tmp_path, "i.json", RESERVE_DOC)
+    prefs = tmp_path / "p.json"
+    prefs.write_bytes(b'{"prefs": {"1": ["\xff"]}}')
+    assert "not UTF-8" in input_error(
+        capsys, ["allocate", "--rule", "da", "--instance", inst, "--prefs", str(prefs)])
+
+
+def test_category_list_must_be_an_array(tmp_path, capsys):
+    inst = write(tmp_path, "i.json", RESERVE_DOC)
+    for cats in ("c", "cc"):
+        prefs = write(tmp_path, "p.json", {"prefs": {"1": cats}})
+        assert "must be a JSON array" in input_error(
+            capsys, ["allocate", "--rule", "da", "--instance", inst, "--prefs", prefs])
+
+
+def test_tier_must_be_an_array(tmp_path, capsys):
+    doc = json.loads(json.dumps(RESERVE_DOC))
+    doc["categories"][0]["tiers"] = ["1", "4"]
+    inst = write(tmp_path, "i.json", doc)
+    assert "must be a JSON array" in input_error(
+        capsys, ["allocate", "--rule", "rr", "--instance", inst])
+
+
 def test_allocate_srr_uses_declared_split(tmp_path, capsys):
     inst = write(tmp_path, "i.json", EARLY_POOL_DOC)
     code, doc = run(capsys, ["allocate", "--rule", "srr", "--instance", inst])
