@@ -17,7 +17,7 @@ from .graph import (ReservationGraph, max_matching, max_matching_size,
                     reduced_graph, reservation_graph)
 from .model import (EMPTY, Category, CategoryEdit, Instance, Kind, Manipulation,
                     Matching, ParseError, PriorityRanking, ValidationError,
-                    apply_manipulation, eligible, enumerate_priority_decreases,
+                    apply_manipulation, enumerate_priority_decreases,
                     parse_instance, priority_decrease_holds, serialize_instance,
                     strictly_prefers, validate_matching)
 from .oracle import (CharacterizationReport, OracleBoundError,

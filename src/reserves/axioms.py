@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import max_matching_size, reservation_graph
+from .graph import _RejectionEngine
 from .model import (Instance, Matching, ValidationError,
                     enumerate_priority_decreases, validate_matching)
 from .rules import UnreservedSplit, rr, soft_reserves, srr
@@ -134,7 +134,7 @@ def check_max_size(inst: Instance, m: Matching,
     elig = check_eligibility(inst, m)
     if not elig.holds:
         raise ValidationError("max-size is defined only for eligibility-compliant matchings")
-    optimum = max_matching_size(reservation_graph(inst))
+    optimum = _RejectionEngine.of(inst, range(len(inst.categories))).size()
     bad = [] if m.size() == optimum else [SizeGapWitness(m.size(), optimum)]
     return _report("max_size", bad, max_witnesses)
 
@@ -145,7 +145,7 @@ def check_max_beneficiary(inst: Instance, m: Matching,
     validate_matching(inst, m)
     pref = set(inst.preferential_ids)
     found = sum(1 for _, c in m.pairs() if c in pref)
-    optimum = max_matching_size(reservation_graph(inst, inst.preferential_ids)) if pref else 0
+    optimum = _RejectionEngine.of(inst, inst.preferential_ids).size()
     bad = [] if found == optimum else [SizeGapWitness(found, optimum)]
     return _report("max_beneficiary", bad, max_witnesses)
 

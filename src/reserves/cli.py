@@ -15,7 +15,7 @@ from typing import Optional
 from . import axioms, oracle
 from .generator import random_instance_document
 from .model import (Instance, Matching, ParseError, ValidationError,
-                    parse_instance, validate_matching)
+                    instance_from_document, parse_document, validate_matching)
 from .rules import (PreconditionError, UnreservedSplit, deferred_acceptance,
                     minimum_guarantees, over_and_above, rr, soft_reserves, srr)
 
@@ -70,9 +70,8 @@ def _read(path: str) -> bytes:
 
 
 def load_instance(path: str) -> tuple[Instance, dict]:
-    raw = _read(path)
-    inst = parse_instance(raw)
-    return inst, json.loads(raw.decode("utf-8"))
+    doc = parse_document(_read(path))
+    return instance_from_document(doc), doc
 
 
 def parse_split_flag(text: str) -> UnreservedSplit:
@@ -165,8 +164,11 @@ def _emit(args, payload: dict | list) -> None:
     else:
         text = _as_table(payload)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        try:
+            with open(args.out, "w") as f:
+                f.write(text + "\n")
+        except OSError as e:
+            raise ParseError(f"cannot write {args.out}: {e}") from None
     else:
         print(text)
 
@@ -268,12 +270,16 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.manipulation_budget < 0:
+        raise ValidationError("--manipulation-budget must be nonnegative")
     inst, doc = load_instance(args.instance)
     if bool(args.matching) == bool(args.rule):
         raise ValidationError("give exactly one of --matching or --rule")
 
     requested = MATCHING_AXIOMS if args.axioms == "all" else tuple(
         a.strip() for a in args.axioms.split(",") if a.strip())
+    if not requested:
+        raise ValidationError("--axioms names no axiom")
     for a in requested:
         if a not in MATCHING_AXIOMS + HARNESS_AXIOMS:
             raise ValidationError(f"unknown axiom {a!r}")
@@ -327,6 +333,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 0:
+        raise ValidationError("--count must be nonnegative")
+    if args.manipulation_budget < 0:
+        raise ValidationError("--manipulation-budget must be nonnegative")
     passed = failed = skipped = 0
     first_discrepancy = None
     for idx in range(args.count):
@@ -334,7 +344,7 @@ def cmd_verify(args) -> int:
             args.max_agents, args.categories, max_quota=args.max_quota,
             eligibility_density=args.eligibility_density, tie_prob=args.tie_prob,
             seed=args.seed + idx, unreserved=args.unreserved)
-        inst = parse_instance(json.dumps(doc))
+        inst = instance_from_document(doc)
         problems = []
         try:
             rep = oracle.verify_characterization(inst)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .model import Instance, ValidationError, parse_instance
+from .model import Instance, ValidationError, instance_from_document
 
 
 def random_instance_document(agents: int, categories: int, max_quota: int = 2,
@@ -58,8 +58,5 @@ def random_instance(agents: int, categories: int, max_quota: int = 2,
                     eligibility_density: float = 0.5, tie_prob: float = 0.0,
                     seed: int = 0, unreserved: int = 0,
                     split: Optional[tuple[int, int]] = None) -> Instance:
-    import json
-
-    doc = random_instance_document(agents, categories, max_quota, eligibility_density,
-                                   tie_prob, seed, unreserved, split)
-    return parse_instance(json.dumps(doc))
+    return instance_from_document(random_instance_document(
+        agents, categories, max_quota, eligibility_density, tie_prob, seed, unreserved, split))

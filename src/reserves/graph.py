@@ -2,13 +2,14 @@
 
 The reservation graph of an instance joins each agent to every category she
 is eligible for; rejecting agents both removes them and prunes any edge a
-rejected agent outranks. Matching sizes of such graphs drive every rule.
+rejected agent outranks. Matching sizes of such graphs drive every rule, and
+``_RejectionEngine`` computes them all: only it knows the CSR layout and
+calls the kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
@@ -39,51 +40,134 @@ class ReservationGraph:
         if sorted(self.scan_order) != sorted(self.left):
             raise ValidationError("scan_order must enumerate the left vertices")
 
-    @cached_property
-    def _arrays(self):
-        n_rows = max(self.left) + 1 if self.left else 0
-        col = {c: j for j, (c, _) in enumerate(self.right)}
-        by_row: list[list[int]] = [[] for _ in range(n_rows)]
-        for a, c in self.edges:
-            by_row[a].append(col[c])
-        indptr = [0]
-        cats: list[int] = []
-        for a in range(n_rows):
-            cats.extend(sorted(by_row[a]))
-            indptr.append(len(cats))
-        bound = max(len(self.left), 1)
-        cap = [min(q, bound) for _, q in self.right]
-        slot_base = [0, *accumulate(cap)][:len(cap)]
-        alive = [False] * n_rows
-        for a in self.left:
-            alive[a] = True
-        return indptr, cats, cap, slot_base, alive, list(self.scan_order)
 
-    def _solve(self, order: Optional[Sequence[int]] = None) -> list[int]:
-        indptr, cats, cap, slot_base, alive, scan = self._arrays
-        if order is not None:
-            if sorted(order) != sorted(self.left):
-                raise ValidationError("tiebreak order must enumerate the left vertices")
-            scan = list(order)
-        n_rows = len(alive)
-        n_cols = len(cap)
-        epos = [0] * len(cats)
-        thr = [_kernels.THR_INF] * n_cols
-        match = [-1] * n_rows
-        used = [0] * n_cols
-        slots = [-1] * sum(cap)
-        _kernels.greedy(scan, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots)
-        _kernels.augment_pass(scan, alive, match, indptr, cats, epos, thr, cap, used,
-                              slot_base, slots, n_rows)
-        return match
+class _RejectionEngine:
+    """A maximum matching of a CSR graph, re-augmented after tentative removals.
+
+    ``rows[a]`` lists agent ``a``'s edges as (column, priority position);
+    column ``j`` is category ``cat_ids[j]`` with capacity ``quotas[j]``. An
+    edge is live while its agent is alive and its position is at most its
+    column's threshold, which pruning lowers. Agents are scanned in ``order``.
+    """
+
+    def __init__(self, rows: Sequence[Iterable[tuple[int, int]]], cat_ids: Sequence[int],
+                 quotas: Sequence[int], active: Iterable[int], order: Iterable[int]):
+        n = len(rows)
+        n_cols = len(cat_ids)
+        self.cat_ids = tuple(cat_ids)
+        self.indptr = [0]
+        self.cats: list[int] = []
+        self.epos: list[int] = []
+        # pos[j][a]: priority position of agent a in column j (edges only)
+        self.pos = [[0] * n for _ in range(n_cols)]
+        for a, row in enumerate(rows):
+            for j, pos in sorted(row):
+                self.cats.append(j)
+                self.epos.append(pos)
+                self.pos[j][a] = pos
+            self.indptr.append(len(self.cats))
+        self.cap = [min(q, max(n, 1)) for q in quotas]
+        self.slot_base = [0, *accumulate(self.cap)][:n_cols]
+        self.thr = [_kernels.THR_INF] * n_cols
+        active = set(active)
+        self.alive = [a in active for a in range(n)]
+        self.order = list(order)
+        self.match, self.used, self.slots = self._solve()
+        self._args = (self.indptr, self.cats, self.epos, self.thr, self.cap,
+                      self.used, self.slot_base, self.slots)
+        self._snap = None
+
+    @classmethod
+    def of(cls, inst: Instance, cat_ids: Sequence[int]) -> "_RejectionEngine":
+        """Engine on ``inst``'s eligibility edges into ``cat_ids``, weighted
+        by priority position, every agent alive, scanning in baseline order."""
+        col = {c: j for j, c in enumerate(cat_ids)}
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]
+        for c in cat_ids:
+            for a in inst.agents_eligible_for(c):
+                rows[a].append((col[c], inst.position(c, a)))
+        return cls(rows, cat_ids, [inst.categories[c].quota for c in cat_ids], range(inst.n),
+                   inst.baseline)
+
+    def _solve(self) -> tuple[list[int], list[int], list[int]]:
+        """A maximum matching of the live graph from scratch: (match, used, slots)."""
+        match = [-1] * len(self.alive)
+        used = [0] * len(self.cap)
+        slots = [-1] * sum(self.cap)
+        args = (self.indptr, self.cats, self.epos, self.thr, self.cap, used,
+                self.slot_base, slots)
+        _kernels.greedy(self.order, self.alive, match, *args)
+        _kernels.augment_pass(self.order, self.alive, match, *args, len(match))
+        return match, used, slots
+
+    def _as_matching(self, match: list[int]) -> Matching:
+        return Matching({a: self.cat_ids[c] for a, c in enumerate(match) if c >= 0})
+
+    def size(self) -> int:
+        return len(self.match) - self.match.count(-1)
+
+    def test_remove(self, i: int, prune: bool) -> int:
+        """Tentatively drop agent ``i`` (pruning outranked edges when asked)
+        and return the new maximum matching size. Follow with keep()/undo().
+
+        Only the pairs that die are unmatched: ``i``'s own and, in a column
+        whose threshold pruning lowers, those of agents now ranked below it.
+        The new graph is a subgraph of the old one, so its maximum is at most
+        the current size: if no pair died the matching is still maximum, and
+        otherwise re-augmentation stops once the lost pairs are made up."""
+        match, thr, used, slots, alive = self.match, self.thr, self.used, self.slots, self.alive
+        self._snap = (i, match[:], thr[:], used[:], slots[:])
+        alive[i] = False
+        hit = set()  # columns that may hold a dead pair
+        if match[i] >= 0:
+            hit.add(match[i])
+        if prune:
+            cats, epos = self.cats, self.epos
+            for k in range(self.indptr[i], self.indptr[i + 1]):
+                c = cats[k]
+                if epos[k] < thr[c]:
+                    thr[c] = epos[k]
+                    hit.add(c)
+        dropped = 0
+        for c in hit:
+            pos, t = self.pos[c], thr[c]
+            base, end = self.slot_base[c], self.slot_base[c] + used[c]
+            out = base
+            for s in range(base, end):
+                a = slots[s]
+                if alive[a] and pos[a] <= t:
+                    slots[out] = a
+                    out += 1
+                else:
+                    match[a] = -1
+            used[c] = out - base
+            dropped += end - out
+        if dropped:
+            _kernels.augment_pass(self.order, alive, match, *self._args, dropped)
+        return self.size()
+
+    def keep(self) -> None:
+        self._snap = None
+
+    def undo(self) -> None:
+        i, match, thr, used, slots = self._snap
+        self.match[:] = match
+        self.thr[:] = thr
+        self.used[:] = used
+        self.slots[:] = slots
+        self.alive[i] = True
+        self._snap = None
+
+    def fresh_matching(self) -> Matching:
+        """Deterministic maximum matching of the current reduced graph,
+        computed from scratch with the same policy as the initial one."""
+        return self._as_matching(self._solve()[0])
 
 
-def reservation_graph(inst: Instance, cats: Optional[Iterable[int]] = None,
-                      quotas: Optional[dict[int, int]] = None) -> ReservationGraph:
+def reservation_graph(inst: Instance, cats: Optional[Iterable[int]] = None) -> ReservationGraph:
     """Eligibility graph over all agents and the given categories (default all)."""
     cat_ids = _check_cats(inst, cats)
-    right = tuple((c, quotas[c] if quotas and c in quotas else inst.categories[c].quota)
-                  for c in cat_ids)
+    right = tuple((c, inst.categories[c].quota) for c in cat_ids)
     edges = frozenset((a, c) for c in cat_ids for a in inst.agents_eligible_for(c))
     return ReservationGraph(frozenset(range(inst.n)), right, edges, inst.baseline)
 
@@ -111,18 +195,30 @@ def reduced_graph(inst: Instance, cats: Optional[Iterable[int]] = None,
     return ReservationGraph(frozenset(left), right, frozenset(edges), order)
 
 
+def _engine(g: ReservationGraph, order: Sequence[int]) -> _RejectionEngine:
+    col = {c: j for j, (c, _) in enumerate(g.right)}
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(max(g.left, default=-1) + 1)]
+    for a, c in g.edges:
+        rows[a].append((col[c], 0))
+    return _RejectionEngine(rows, [c for c, _ in g.right], [q for _, q in g.right], g.left,
+                            order)
+
+
 def max_matching_size(g: ReservationGraph) -> int:
     """Number of edges in a maximum matching (agents once, categories up to capacity)."""
-    match = g._solve()
-    return len(match) - match.count(-1)
+    return _engine(g, g.scan_order).size()
 
 
 def max_matching(g: ReservationGraph, order: Optional[Sequence[int]] = None) -> Matching:
     """A maximum matching, deterministic for a fixed tiebreak order: greedy
     seeding then augmentation, scanning agents in ``order`` (default: the
     graph's scan order) and categories in declaration order."""
-    match = g._solve(order)
-    return Matching({a: g.right[c][0] for a, c in enumerate(match) if c >= 0})
+    if order is None:
+        order = g.scan_order
+    elif sorted(order) != sorted(g.left):
+        raise ValidationError("tiebreak order must enumerate the left vertices")
+    engine = _engine(g, order)
+    return engine._as_matching(engine.match)
 
 
 def _check_cats(inst: Instance, cats: Optional[Iterable[int]]) -> tuple[int, ...]:

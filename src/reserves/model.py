@@ -207,10 +207,6 @@ class Instance:
         return Instance(self.agent_names, tuple(cats), self.baseline)
 
 
-def eligible(inst: Instance, i: int, c: int) -> bool:
-    return inst.eligible(i, c)
-
-
 @dataclass
 class Matching:
     """Partial assignment of agents to categories; absent agents are unmatched."""
@@ -415,12 +411,12 @@ def _parse_tiers(tiers_doc: list, ids: dict[str, int], where: str) -> tuple[tupl
 
 
 def parse_instance(data: Union[bytes, str]) -> Instance:
-    """Parse the canonical JSON instance document.
+    """Parse the canonical JSON instance document (see instance_from_document)."""
+    return instance_from_document(parse_document(data))
 
-    A document's single ``unreserved`` category becomes the internal
-    (earlier, later) pair; ``unreserved_split`` fixes their quotas and
-    defaults to processing every unreserved unit last.
-    """
+
+def parse_document(data: Union[bytes, str]) -> dict:
+    """Decode JSON instance text into the document object, unchecked."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -432,7 +428,17 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
         raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
+    return doc
 
+
+def instance_from_document(doc: dict) -> Instance:
+    """Build and validate the instance a decoded document describes.
+
+    A document's single ``unreserved`` category becomes the internal
+    (earlier, later) pair; ``unreserved_split`` fixes their quotas and
+    defaults to processing every unreserved unit last. Category names must
+    be unique.
+    """
     agent_names = _require(doc, "agents", list, "document")
     for a in agent_names:
         if not isinstance(a, str) or not a:
@@ -455,6 +461,8 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
         if not isinstance(cd, dict):
             raise ParseError("each category must be a JSON object")
         name = _require(cd, "name", str, "category")
+        if any(c.name == name for c in categories):
+            raise ValidationError(f"duplicate category name {name!r}")
         quota = _require(cd, "quota", int, f"category {name!r}")
         kind = _require(cd, "kind", str, f"category {name!r}")
         if kind == "preferential":

@@ -13,10 +13,9 @@ variant that hands leftover preferential units to ineligible agents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import _kernels
+from .graph import _RejectionEngine
 from .model import Instance, Matching, ValidationError
 
 
@@ -49,123 +48,6 @@ class UnreservedSplit:
     q2: int
 
 
-class _RejectionEngine:
-    """Incremental max-matching state for rejection scans.
-
-    Keeps a maximum matching of the current reduced graph and re-augments
-    after tentative removals instead of recomputing from scratch; sizes agree
-    with a fresh computation by the standard augmenting-path argument.
-    """
-
-    def __init__(self, inst: Instance, cat_ids: Sequence[int], active: Iterable[int]):
-        self.inst = inst
-        self.cat_ids = tuple(cat_ids)
-        n = inst.n
-        n_cols = len(self.cat_ids)
-        col = {c: j for j, c in enumerate(self.cat_ids)}
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for c in self.cat_ids:
-            for a in inst.agents_eligible_for(c):
-                rows[a].append((col[c], inst.position(c, a)))
-        self.indptr = [0]
-        self.cats: list[int] = []
-        self.epos: list[int] = []
-        # pos[j][a]: priority position of agent a in column j (edges only)
-        self.pos = [[0] * n for _ in range(n_cols)]
-        for a in range(n):
-            for j, pos in sorted(rows[a]):
-                self.cats.append(j)
-                self.epos.append(pos)
-                self.pos[j][a] = pos
-            self.indptr.append(len(self.cats))
-        bound = max(n, 1)
-        self.cap = [min(inst.categories[c].quota, bound) for c in self.cat_ids]
-        self.slot_base = [0, *accumulate(self.cap)][:n_cols]
-        self.slots = [-1] * sum(self.cap)
-        self.used = [0] * n_cols
-        self.thr = [_kernels.THR_INF] * n_cols
-        self.alive = [False] * n
-        for a in active:
-            self.alive[a] = True
-        self.order = list(inst.baseline)
-        self.match = [-1] * n
-        self._args = (self.indptr, self.cats, self.epos, self.thr, self.cap,
-                      self.used, self.slot_base, self.slots)
-        _kernels.greedy(self.order, self.alive, self.match, *self._args)
-        _kernels.augment_pass(self.order, self.alive, self.match, *self._args, n)
-        self.ms = self.size()
-        self._snap = None
-
-    def size(self) -> int:
-        return len(self.match) - self.match.count(-1)
-
-    def test_remove(self, i: int, prune: bool) -> int:
-        """Tentatively drop agent ``i`` (pruning outranked edges when asked)
-        and return the new maximum matching size. Follow with keep()/undo().
-
-        Only the pairs that die are unmatched: ``i``'s own and, in a column
-        whose threshold pruning lowers, those of agents now ranked below it.
-        The new graph is a subgraph of the old one, so its maximum is at most
-        the current size: if no pair died the matching is still maximum, and
-        otherwise re-augmentation stops once the lost pairs are made up."""
-        match, thr, used, slots, alive = self.match, self.thr, self.used, self.slots, self.alive
-        self._snap = (i, match[:], thr[:], used[:], slots[:])
-        alive[i] = False
-        hit = set()  # columns that may hold a dead pair
-        if match[i] >= 0:
-            hit.add(match[i])
-        if prune:
-            cats, epos = self.cats, self.epos
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                c = cats[k]
-                if epos[k] < thr[c]:
-                    thr[c] = epos[k]
-                    hit.add(c)
-        dropped = 0
-        for c in hit:
-            pos, t = self.pos[c], thr[c]
-            base, end = self.slot_base[c], self.slot_base[c] + used[c]
-            out = base
-            for s in range(base, end):
-                a = slots[s]
-                if alive[a] and pos[a] <= t:
-                    slots[out] = a
-                    out += 1
-                else:
-                    match[a] = -1
-            used[c] = out - base
-            dropped += end - out
-        if dropped:
-            _kernels.augment_pass(self.order, alive, match, *self._args, dropped)
-        return self.size()
-
-    def keep(self) -> None:
-        self._snap = None
-
-    def undo(self) -> None:
-        i, match, thr, used, slots = self._snap
-        self.match[:] = match
-        self.thr[:] = thr
-        self.used[:] = used
-        self.slots[:] = slots
-        self.alive[i] = True
-        self._snap = None
-
-    def fresh_matching(self) -> Matching:
-        """Deterministic maximum matching of the current reduced graph:
-        greedy in baseline order, categories in declaration order, then
-        augmentation in baseline order (same policy as graph.max_matching)."""
-        n = self.inst.n
-        match = [-1] * n
-        used = [0] * len(self.cat_ids)
-        slots = [-1] * len(self.slots)
-        args = (self.indptr, self.cats, self.epos, self.thr, self.cap,
-                used, self.slot_base, slots)
-        _kernels.greedy(self.order, self.alive, match, *args)
-        _kernels.augment_pass(self.order, self.alive, match, *args, n)
-        return Matching({a: self.cat_ids[c] for a, c in enumerate(match) if c >= 0})
-
-
 def rr(inst: Instance, cats: Optional[Iterable[int]] = None) -> tuple[Matching, RrTrace]:
     """Rejection scan over the given categories (default all).
 
@@ -181,21 +63,30 @@ def rr(inst: Instance, cats: Optional[Iterable[int]] = None) -> tuple[Matching, 
             raise ValidationError("cats must be a non-empty subset of categories")
     else:
         cats = tuple(range(len(inst.categories)))
-    engine = _RejectionEngine(inst, cats, range(inst.n))
-    ms_total = engine.ms
-    rejected: set[int] = set()
-    decisions: list[RrDecision] = []
-    for i in reversed(inst.baseline):
+    engine = _RejectionEngine.of(inst, cats)
+    ms_total = engine.size()
+    decisions = _reject_scan(engine)
+    rejected = frozenset(d.agent for d in decisions if d.rejected)
+    return engine.fresh_matching(), RrTrace(rejected, decisions, ms_total)
+
+
+def _reject_scan(engine: _RejectionEngine) -> tuple[RrDecision, ...]:
+    """Walk the engine's live agents from the bottom of the scan order and
+    reject each one whose removal, with pruning, keeps the matching size.
+    The engine must hold a maximum matching; it ends on the final reduced
+    graph."""
+    target = engine.size()
+    decisions = []
+    for i in reversed(engine.order):
+        if not engine.alive[i]:
+            continue
         size = engine.test_remove(i, prune=True)
-        if size == ms_total:
+        if size == target:
             engine.keep()
-            rejected.add(i)
-            decisions.append(RrDecision(i, True, size))
         else:
             engine.undo()
-            decisions.append(RrDecision(i, False, size))
-    matching = engine.fresh_matching()
-    return matching, RrTrace(frozenset(rejected), tuple(decisions), ms_total)
+        decisions.append(RrDecision(i, size == target, size))
+    return tuple(decisions)
 
 
 def _resolve_split(inst: Instance, split: Optional[UnreservedSplit]) -> UnreservedSplit:
@@ -224,10 +115,9 @@ def srr(inst: Instance, split: Optional[UnreservedSplit] = None) -> Matching:
     """
     split = _resolve_split(inst, split)
     cf, cl = inst.unreserved_first_id, inst.unreserved_last_id
-    pref = inst.preferential_ids
 
-    engine = _RejectionEngine(inst, pref, range(inst.n))
-    mstar = engine.ms
+    engine = _RejectionEngine.of(inst, inst.preferential_ids)
+    mstar = engine.size()
     n1: list[int] = []
     if split.q1 > 0:
         for i in inst.baseline:
@@ -239,20 +129,10 @@ def srr(inst: Instance, split: Optional[UnreservedSplit] = None) -> Matching:
             else:
                 engine.undo()
 
-    taken = set(n1)
-    remaining = [a for a in range(inst.n) if a not in taken]
-    engine2 = _RejectionEngine(inst, pref, remaining) if pref else None
-    assignment: dict[int, int] = {i: cf for i in n1}
-    if engine2 is not None:
-        ms2 = engine2.ms
-        for i in reversed(inst.baseline):
-            if i in assignment:
-                continue
-            if engine2.test_remove(i, prune=True) == ms2:
-                engine2.keep()
-            else:
-                engine2.undo()
-        assignment.update(engine2.fresh_matching().assignment)
+    # the engine now holds a maximum matching (size m*) of the remaining agents
+    _reject_scan(engine)
+    assignment = {i: cf for i in n1}
+    assignment.update(engine.fresh_matching().assignment)
 
     granted = 0
     for i in inst.baseline:

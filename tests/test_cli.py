@@ -164,6 +164,45 @@ def test_tier_must_be_an_array(tmp_path, capsys):
         capsys, ["allocate", "--rule", "rr", "--instance", inst])
 
 
+def test_category_names_are_unique(tmp_path, capsys):
+    for clash in ("c", "c_u"):  # a second preferential c; a preferential named as c_u
+        doc = json.loads(json.dumps(RESERVE_DOC))
+        doc["categories"].append({"name": clash, "quota": 1, "kind": "preferential",
+                                  "tiers": [["2"]], "cutoff": 1})
+        inst = write(tmp_path, "i.json", doc)
+        assert f"duplicate category name {clash!r}" in input_error(
+            capsys, ["allocate", "--rule", "rr", "--instance", inst])
+
+
+def test_unwritable_out_path(tmp_path, capsys):
+    inst = write(tmp_path, "i.json", RUNNING_DOC)
+    out = str(tmp_path / "missing" / "x.json")
+    assert "cannot write" in input_error(
+        capsys, ["allocate", "--rule", "rr", "--instance", inst, "--out", out])
+
+
+def test_verify_rejects_negative_count(capsys):
+    assert "--count" in input_error(capsys, ["verify", "--count", "-3"])
+
+
+def test_check_rejects_empty_axiom_list(tmp_path, capsys):
+    inst = write(tmp_path, "i.json", RUNNING_DOC)
+    for axioms in (",", " , "):
+        assert "no axiom" in input_error(
+            capsys, ["check", "--instance", inst, "--rule", "rr", "--axioms", axioms])
+
+
+def test_negative_manipulation_budget(tmp_path, capsys):
+    # everyone is matched, so the harnesses never enumerate a manipulation
+    inst = write(tmp_path, "i.json", {
+        "agents": ["1"], "baseline": ["1"],
+        "categories": [{"name": "c", "quota": 1, "kind": "preferential",
+                        "tiers": [["1"]], "cutoff": 1}]})
+    for argv in (["check", "--instance", inst, "--rule", "rr"], ["verify", "--count", "0"]):
+        assert "--manipulation-budget" in input_error(
+            capsys, argv + ["--manipulation-budget", "-1"])
+
+
 def test_allocate_srr_uses_declared_split(tmp_path, capsys):
     inst = write(tmp_path, "i.json", EARLY_POOL_DOC)
     code, doc = run(capsys, ["allocate", "--rule", "srr", "--instance", inst])
