@@ -303,6 +303,10 @@ def cmd_check(args) -> int:
         elif axiom == "nonwasteful":
             rep = axioms.check_nonwasteful(work, matching)
         elif axiom == "max_size":
+            # defined only for compliant matchings; the eligibility report
+            # already carries the witness
+            if args.axioms == "all" and not axioms.check_eligibility(work, matching).holds:
+                continue
             rep = axioms.check_max_size(work, matching)
         elif axiom == "max_beneficiary":
             if args.axioms == "all" and not work.preferential_ids:

@@ -81,11 +81,13 @@ class _RejectionEngine:
     def of(cls, inst: Instance, cat_ids: Sequence[int]) -> "_RejectionEngine":
         """Engine on ``inst``'s eligibility edges into ``cat_ids``, weighted
         by priority position, every agent alive, scanning in baseline order."""
-        col = {c: j for j, c in enumerate(cat_ids)}
         rows: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]
-        for c in cat_ids:
-            for a in inst.agents_eligible_for(c):
-                rows[a].append((col[c], inst.position(c, a)))
+        for j, c in enumerate(cat_ids):
+            ranking = inst.categories[c].ranking
+            # an eligible agent's priority position is her tier index
+            for t, tier in enumerate(ranking.tiers[:ranking.cutoff]):
+                for a in tier:
+                    rows[a].append((j, t))
         return cls(rows, cat_ids, [inst.categories[c].quota for c in cat_ids], range(inst.n),
                    inst.baseline)
 

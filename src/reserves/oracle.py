@@ -3,8 +3,10 @@
 Enumerates every eligibility-compliant matching directly from the instance
 (no shared code with the matching kernels), computes the set of matchings
 that also respect priorities and have maximum size, and compares it against
-the union of rejection-scan outcomes over every baseline ordering. Hard
-bounds guard the factorial and exponential enumerations.
+the union of rejection-scan outcomes over every baseline ordering. The scan
+runs on every ordering, but each distinct final reduced graph has its
+maximum matchings enumerated once. Hard bounds guard the factorial and
+exponential enumerations.
 """
 
 from __future__ import annotations
@@ -106,14 +108,23 @@ def _symmetrize(inst: Instance) -> Instance:
 
 def rr_outcome_set(inst: Instance, max_agents: int = MAX_ORDERING_AGENTS) -> MatchingSet:
     """Union over every baseline ordering of all maximum matchings of the
-    final reduced graph left by the rejection scan."""
+    final reduced graph left by the rejection scan.
+
+    The scan runs on every ordering. Every category of the symmetrized
+    instance has a fixed ranking, so the reduced graph's edges depend only on
+    the rejected set, and its matchings are enumerated once per distinct set.
+    """
     if inst.n > max_agents:
         raise OracleBoundError(f"instance has {inst.n} agents, bound is {max_agents}")
     base = _symmetrize(inst)
     out: set[Canonical] = set()
+    seen: set[frozenset[int]] = set()
     for perm in itertools.permutations(range(inst.n)):
         rebased = Instance(base.agent_names, base.categories, perm)
         _, trace = rr(rebased)
+        if trace.rejected in seen:
+            continue
+        seen.add(trace.rejected)
         g = reduced_graph(rebased, rejected=trace.rejected)
         matchings = list(_graph_matchings(g))
         ms = max((len(m) for m in matchings), default=0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graph import _RejectionEngine
+from .graph import _RejectionEngine, _check_cats
 from .model import Instance, Matching, ValidationError
 
 
@@ -61,8 +61,7 @@ def rr(inst: Instance, cats: Optional[Iterable[int]] = None) -> tuple[Matching, 
         cats = tuple(cats)
         if not cats:
             raise ValidationError("cats must be a non-empty subset of categories")
-    else:
-        cats = tuple(range(len(inst.categories)))
+    cats = _check_cats(inst, cats)
     engine = _RejectionEngine.of(inst, cats)
     ms_total = engine.size()
     decisions = _reject_scan(engine)

@@ -100,6 +100,20 @@ def test_check_da_max_size_gap(tmp_path, capsys):
     assert (w["found"], w["optimum"]) == (1, 2)
 
 
+def test_check_all_reports_ineligible_pair_instead_of_max_size(tmp_path, capsys):
+    # max_size is defined only for compliant matchings, so "all" skips it and
+    # the eligibility witness decides the exit code
+    assert main(["gen", "--agents", "4", "--categories", "1", "--seed", "2",
+                 "--unreserved", "2", "--out", str(tmp_path / "i.json")]) == 0
+    matching = write(tmp_path, "m.json", {"assignment": {"a3": "c0"}})
+    code, reports = run(capsys, ["check", "--instance", str(tmp_path / "i.json"),
+                                 "--matching", matching])
+    assert code == 1
+    by_axiom = {r["axiom"]: r for r in reports}
+    assert "max_size" not in by_axiom
+    assert by_axiom["eligibility"]["witnesses"] == [{"agent": "a3", "category": "c0"}]
+
+
 def test_exit_codes(tmp_path, capsys):
     inst = write(tmp_path, "i.json", RESERVE_DOC)
     bad = write(tmp_path, "bad.json", {"agents": ["a"], "baseline": ["a", "a"],

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from conftest import make_instance
 from reserves import oracle
 from reserves.generator import random_instance
+from reserves.graph import reduced_graph
+from reserves.model import Instance
 from reserves.oracle import (OracleBoundError, axiom_satisfying_set,
                              enumerate_matchings, rr_outcome_set,
                              verify_characterization)
@@ -82,6 +85,33 @@ def test_outcomes_are_always_axiom_satisfying():
     for seed in range(20):
         inst = random_instance(4, 2, seed=seed, eligibility_density=0.6, tie_prob=0.3)
         assert rr_outcome_set(inst) <= axiom_satisfying_set(inst)
+
+
+def _plain_outcome_union(inst):
+    """rr_outcome_set without skipping: scan, reduce and enumerate on every
+    ordering. Also returns the distinct rejected sets seen."""
+    base = oracle._symmetrize(inst)
+    out, rejected_sets = set(), set()
+    for perm in itertools.permutations(range(inst.n)):
+        rebased = Instance(base.agent_names, base.categories, perm)
+        rejected = rr(rebased)[1].rejected
+        rejected_sets.add(rejected)
+        matchings = list(oracle._graph_matchings(reduced_graph(rebased, rejected=rejected)))
+        ms = max((len(m) for m in matchings), default=0)
+        out.update(tuple(sorted(m.items())) for m in matchings if len(m) == ms)
+    return frozenset(out), rejected_sets
+
+
+def test_outcome_set_equals_plain_union_over_orderings():
+    varied = 0
+    for seed in range(30):
+        inst = random_instance(4 + seed % 3, 2, seed=seed, eligibility_density=0.6,
+                               tie_prob=0.4, unreserved=seed % 3)
+        expected, rejected_sets = _plain_outcome_union(inst)
+        assert rr_outcome_set(inst) == expected, seed
+        varied += len(rejected_sets) >= 3
+    # seeds 5, 7 and 17 reach 3, 3 and 4 distinct final reduced graphs
+    assert varied >= 3
 
 
 def test_bounds_are_enforced():

@@ -86,6 +86,17 @@ def test_rr_rejects_explicit_empty_cats(running):
         rr(running, cats=())
 
 
+@pytest.mark.parametrize("cats, message", [
+    ((-1,), "unknown category id -1"),
+    ((5,), "unknown category id 5"),
+    ((0, 0), "duplicate category ids"),
+])
+def test_rr_rejects_unknown_or_duplicate_cats(cats, message):
+    inst = random_instance(6, 2, seed=3)
+    with pytest.raises(ValidationError, match=message):
+        rr(inst, cats=cats)
+
+
 def test_rr_matches_naive_reference():
     for seed in range(40):
         inst = random_instance(5, 2, seed=seed,
