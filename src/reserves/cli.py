@@ -303,11 +303,13 @@ def cmd_check(args) -> int:
         elif axiom == "nonwasteful":
             rep = axioms.check_nonwasteful(work, matching)
         elif axiom == "max_size":
-            # defined only for compliant matchings; the eligibility report
-            # already carries the witness
-            if args.axioms == "all" and not axioms.check_eligibility(work, matching).holds:
+            # defined only for compliant matchings: otherwise the eligibility
+            # report, with its witness, stands in for it, once
+            rep = axioms.check_eligibility(work, matching)
+            if rep.holds:
+                rep = axioms.check_max_size(work, matching)
+            elif "eligibility" in requested:
                 continue
-            rep = axioms.check_max_size(work, matching)
         elif axiom == "max_beneficiary":
             if args.axioms == "all" and not work.preferential_ids:
                 continue

@@ -48,6 +48,8 @@ class _RejectionEngine:
     column ``j`` is category ``cat_ids[j]`` with capacity ``quotas[j]``. An
     edge is live while its agent is alive and its position is at most its
     column's threshold, which pruning lowers. Agents are scanned in ``order``.
+    ``reset`` returns the engine to its freshly built state under a new order,
+    so one engine can serve many scan orders of the same rows.
     """
 
     def __init__(self, rows: Sequence[Iterable[tuple[int, int]]], cat_ids: Sequence[int],
@@ -70,12 +72,25 @@ class _RejectionEngine:
         self.slot_base = [0, *accumulate(self.cap)][:n_cols]
         self.thr = [_kernels.THR_INF] * n_cols
         active = set(active)
-        self.alive = [a in active for a in range(n)]
+        self._active = [a in active for a in range(n)]
+        self.alive = self._active[:]
         self.order = list(order)
         self.match, self.used, self.slots = self._solve()
         self._args = (self.indptr, self.cats, self.epos, self.thr, self.cap,
                       self.used, self.slot_base, self.slots)
         self._snap = None
+
+    def reset(self, order: Iterable[int]) -> "_RejectionEngine":
+        """Revive every agent alive at construction, lift all pruning and
+        re-solve scanning in ``order``: the engine a fresh build on the same
+        rows with that order would give. The lists are updated in place,
+        since ``_args`` holds them."""
+        self.alive[:] = self._active
+        self.thr[:] = [_kernels.THR_INF] * len(self.thr)
+        self.order = list(order)
+        self._snap = None
+        self.match[:], self.used[:], self.slots[:] = self._solve()
+        return self
 
     @classmethod
     def of(cls, inst: Instance, cat_ids: Sequence[int]) -> "_RejectionEngine":

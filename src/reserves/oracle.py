@@ -3,8 +3,9 @@
 Enumerates every eligibility-compliant matching directly from the instance
 (no shared code with the matching kernels), computes the set of matchings
 that also respect priorities and have maximum size, and compares it against
-the union of rejection-scan outcomes over every baseline ordering. The scan
-runs on every ordering, but each distinct final reduced graph has its
+the union of rejection-scan outcomes over every baseline ordering. One
+matching engine is built per instance and reset to each ordering, and rr's
+own scan runs on every ordering; each distinct final reduced graph has its
 maximum matchings enumerated once. Hard bounds guard the factorial and
 exponential enumerations.
 """
@@ -16,16 +17,16 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .axioms import check_respect_priorities
-from .graph import ReservationGraph, reduced_graph
+from .graph import ReservationGraph, _RejectionEngine, reduced_graph
 from .model import Instance, Kind, Matching
-from .rules import rr
+from .rules import _rr_trace
 
 #: canonical form of a matching: sorted (agent, category) pairs
 Canonical = tuple[tuple[int, int], ...]
 MatchingSet = frozenset[Canonical]
 
 MAX_ENUM_AGENTS = 8
-MAX_ORDERING_AGENTS = 7
+MAX_ORDERING_AGENTS = 8
 
 
 class OracleBoundError(RuntimeError):
@@ -110,22 +111,24 @@ def rr_outcome_set(inst: Instance, max_agents: int = MAX_ORDERING_AGENTS) -> Mat
     """Union over every baseline ordering of all maximum matchings of the
     final reduced graph left by the rejection scan.
 
-    The scan runs on every ordering. Every category of the symmetrized
-    instance has a fixed ranking, so the reduced graph's edges depend only on
-    the rejected set, and its matchings are enumerated once per distinct set.
+    One engine is built on the symmetrized instance and reset to each
+    ordering, and rr's scan runs on every ordering. Every category of the
+    symmetrized instance has a fixed ranking, so the engine's rows do not
+    depend on the ordering, the reduced graph's edges depend only on the
+    rejected set, and its matchings are enumerated once per distinct set.
     """
     if inst.n > max_agents:
         raise OracleBoundError(f"instance has {inst.n} agents, bound is {max_agents}")
     base = _symmetrize(inst)
+    engine = _RejectionEngine.of(base, range(len(base.categories)))
     out: set[Canonical] = set()
     seen: set[frozenset[int]] = set()
     for perm in itertools.permutations(range(inst.n)):
-        rebased = Instance(base.agent_names, base.categories, perm)
-        _, trace = rr(rebased)
-        if trace.rejected in seen:
+        rejected = _rr_trace(engine.reset(perm)).rejected
+        if rejected in seen:
             continue
-        seen.add(trace.rejected)
-        g = reduced_graph(rebased, rejected=trace.rejected)
+        seen.add(rejected)
+        g = reduced_graph(base, rejected=rejected)
         matchings = list(_graph_matchings(g))
         ms = max((len(m) for m in matchings), default=0)
         for m in matchings:

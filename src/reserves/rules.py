@@ -63,10 +63,17 @@ def rr(inst: Instance, cats: Optional[Iterable[int]] = None) -> tuple[Matching, 
             raise ValidationError("cats must be a non-empty subset of categories")
     cats = _check_cats(inst, cats)
     engine = _RejectionEngine.of(inst, cats)
+    trace = _rr_trace(engine)
+    return engine.fresh_matching(), trace
+
+
+def _rr_trace(engine: _RejectionEngine) -> RrTrace:
+    """Run the rejection scan on an engine holding a maximum matching of the
+    full graph; the engine ends on the final reduced graph."""
     ms_total = engine.size()
     decisions = _reject_scan(engine)
     rejected = frozenset(d.agent for d in decisions if d.rejected)
-    return engine.fresh_matching(), RrTrace(rejected, decisions, ms_total)
+    return RrTrace(rejected, decisions, ms_total)
 
 
 def _reject_scan(engine: _RejectionEngine) -> tuple[RrDecision, ...]:

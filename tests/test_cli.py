@@ -2,6 +2,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from conftest import EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC
 from reserves.cli import main
 
@@ -112,6 +114,21 @@ def test_check_all_reports_ineligible_pair_instead_of_max_size(tmp_path, capsys)
     by_axiom = {r["axiom"]: r for r in reports}
     assert "max_size" not in by_axiom
     assert by_axiom["eligibility"]["witnesses"] == [{"agent": "a3", "category": "c0"}]
+
+
+@pytest.mark.parametrize("axiom_list", ["eligibility,max_size", "max_size"])
+def test_check_max_size_on_ineligible_matching_reports_eligibility_once(
+        tmp_path, capsys, axiom_list):
+    # whatever the axiom list, max_size is not evaluated on an ineligible
+    # matching: the eligibility witness is reported once and decides the exit
+    assert main(["gen", "--agents", "4", "--categories", "1", "--seed", "2",
+                 "--unreserved", "2", "--out", str(tmp_path / "i.json")]) == 0
+    matching = write(tmp_path, "m.json", {"assignment": {"a3": "c0"}})
+    code, reports = run(capsys, ["check", "--instance", str(tmp_path / "i.json"),
+                                 "--matching", matching, "--axioms", axiom_list])
+    assert code == 1
+    assert [r["axiom"] for r in reports] == ["eligibility"]
+    assert reports[0]["witnesses"] == [{"agent": "a3", "category": "c0"}]
 
 
 def test_exit_codes(tmp_path, capsys):

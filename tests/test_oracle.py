@@ -6,12 +6,12 @@ import pytest
 from conftest import make_instance
 from reserves import oracle
 from reserves.generator import random_instance
-from reserves.graph import reduced_graph
+from reserves.graph import _RejectionEngine, reduced_graph
 from reserves.model import Instance
 from reserves.oracle import (OracleBoundError, axiom_satisfying_set,
                              enumerate_matchings, rr_outcome_set,
                              verify_characterization)
-from reserves.rules import RrTrace, rr
+from reserves.rules import RrTrace, _rr_trace, rr
 
 
 def test_enumerates_exactly_the_five_running_matchings(running):
@@ -114,26 +114,52 @@ def test_outcome_set_equals_plain_union_over_orderings():
     assert varied >= 3
 
 
+def test_reset_engine_is_the_rule():
+    """One engine reset to each ordering scans exactly as rr on the rebased
+    instance, and starts each scan in the state of a fresh build."""
+    with_unreserved = 0
+    for seed in range(20):
+        inst = random_instance(3 + seed % 4, 2, seed=seed, eligibility_density=0.6,
+                               tie_prob=0.4, unreserved=seed % 3)
+        with_unreserved += inst.has_unreserved
+        base = oracle._symmetrize(inst)
+        cats = range(len(base.categories))
+        engine = _RejectionEngine.of(base, cats)
+        for perm in itertools.permutations(range(inst.n)):
+            rebased = Instance(base.agent_names, base.categories, perm)
+            engine.reset(perm)
+            fresh = _RejectionEngine.of(rebased, cats)
+            for attr in ("match", "used", "slots", "thr", "alive"):
+                assert getattr(engine, attr) == getattr(fresh, attr), (seed, perm, attr)
+            assert _rr_trace(engine) == rr(rebased)[1], (seed, perm)
+    assert with_unreserved >= 10
+
+
 def test_bounds_are_enforced():
     inst = random_instance(9, 2, seed=0)
     with pytest.raises(OracleBoundError):
         list(enumerate_matchings(inst))
-    inst = random_instance(8, 2, seed=0)
     with pytest.raises(OracleBoundError):
         rr_outcome_set(inst)
 
 
+def test_characterization_at_eight_agents():
+    inst = random_instance(8, 2, max_quota=2, eligibility_density=0.6, tie_prob=0.4,
+                           seed=1, unreserved=0)
+    assert verify_characterization(inst, 8).ok
+
+
 def test_corrupted_scan_is_detected(scan, monkeypatch):
     """Dropping one rejection from the scan must surface as a discrepancy."""
-    real_rr = rr
+    real_trace = _rr_trace
 
-    def skip_first_rejection(inst, cats=None):
-        matching, trace = real_rr(inst, cats)
+    def skip_first_rejection(engine):
+        trace = real_trace(engine)
         rejected = sorted(trace.rejected)
         if rejected:
             rejected = rejected[1:]
-        return matching, RrTrace(frozenset(rejected), trace.decisions, trace.ms_total)
+        return RrTrace(frozenset(rejected), trace.decisions, trace.ms_total)
 
-    monkeypatch.setattr(oracle, "rr", skip_first_rejection)
+    monkeypatch.setattr(oracle, "_rr_trace", skip_first_rejection)
     rep = verify_characterization(scan)
     assert not rep.ok and rep.only_rule_side
