@@ -2,9 +2,10 @@
 
 Every checker is a pure predicate over (instance, matching) that returns an
 AxiomReport carrying concrete witnesses for each violation found, capped at a
-configurable count. The two harnesses re-run a rule under enumerated priority
-decreases of unmatched agents, so their verdicts are relative to the tested
-manipulation space.
+configurable count. The two harnesses re-run a rule, named as on the command
+line (``rr``, ``srr`` or ``soft``, the keys of ``HARNESS_RULES``), under
+enumerated priority decreases of unmatched agents, so their verdicts are
+relative to the tested manipulation space.
 """
 
 from __future__ import annotations
@@ -181,19 +182,15 @@ def check_order_preservation(inst: Instance, m: Matching,
     return _report("order_preservation", bad, max_witnesses)
 
 
-_HARNESS_RULES = ("rr", "srr", "soft_reserves")
+#: the rules the harnesses can re-run, by CLI name: (instance, split) -> matching
+HARNESS_RULES = {"rr": lambda inst, split: rr(inst)[0], "srr": srr, "soft": soft_reserves}
 
 
 def _rule_fn(rule: str, split: Optional[UnreservedSplit]) -> Callable[[Instance], Matching]:
-    if rule == "rr":
-        return lambda inst: rr(inst)[0]
-    if rule == "srr":
-        return lambda inst: srr(inst, split)
-    if rule == "soft_reserves":
-        return lambda inst: soft_reserves(inst, split)
-    raise ValidationError(
-        f"manipulation harnesses support {_HARNESS_RULES}, not {rule!r}"
-    )
+    if rule not in HARNESS_RULES:
+        raise ValidationError(
+            f"manipulation harnesses support {tuple(HARNESS_RULES)}, not {rule!r}")
+    return lambda inst: HARNESS_RULES[rule](inst, split)
 
 
 def check_strategyproofness(rule: str, inst: Instance, budget: int = 8,

@@ -10,14 +10,14 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import axioms, oracle
 from .generator import random_instance_document
 from .model import (Instance, Matching, ParseError, ValidationError,
                     instance_from_document, parse_document, validate_matching)
 from .rules import (PreconditionError, UnreservedSplit, deferred_acceptance,
-                    minimum_guarantees, over_and_above, rr, soft_reserves, srr)
+                    minimum_guarantees, over_and_above, rr)
 
 EXIT_OK = 0
 EXIT_AXIOM_FAIL = 1
@@ -28,6 +28,10 @@ RULES = ("rr", "srr", "mg", "oaa", "da", "soft")
 MATCHING_AXIOMS = ("eligibility", "respect_priorities", "nonwasteful", "max_size",
                    "max_beneficiary", "order_preservation")
 HARNESS_AXIOMS = ("strategyproofness", "weak_nonbossiness")
+# what verify checks of rr's output, and of srr's at split (0, q)
+VERIFY_RR_AXIOMS = ("eligibility", "respect_priorities", "nonwasteful", "max_size",
+                    *HARNESS_AXIOMS)
+VERIFY_SRR_AXIOMS = ("eligibility", "respect_priorities", "max_beneficiary", "order_preservation")
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +91,10 @@ def resolve_split(inst: Instance, doc: dict, flag: Optional[str],
     """CLI split: the flag wins, else the document's explicit one; rules that
     need a split fail without either."""
     if flag is not None:
-        return parse_split_flag(flag)
+        split = parse_split_flag(flag)
+        if inst.has_unreserved:
+            inst.with_split(split.q1, split.q2)  # raises ValidationError unless a partition
+        return split
     if "unreserved_split" in doc:
         sp = doc["unreserved_split"]
         return UnreservedSplit(sp["first"], sp["last"])
@@ -205,12 +212,10 @@ def _run_rule(rule: str, inst: Instance, doc: dict, args):
     if rule == "rr":
         matching, trace = rr(inst)
         return matching, inst, None, trace
-    if rule == "srr":
+    if rule in ("srr", "soft"):
         split = resolve_split(inst, doc, args.split, required=True)
-        return srr(inst, split), effective_instance(inst, split), split, None
-    if rule == "soft":
-        split = resolve_split(inst, doc, args.split, required=True)
-        return soft_reserves(inst, split), effective_instance(inst, split), split, None
+        matching = axioms.HARNESS_RULES[rule](inst, split)
+        return matching, effective_instance(inst, split), split, None
     if rule == "mg":
         matching = minimum_guarantees(inst)
         split = UnreservedSplit(0, inst.unreserved_quota) if inst.has_unreserved else None
@@ -269,6 +274,28 @@ def cmd_allocate(args) -> int:
     return EXIT_OK
 
 
+def _evaluate(inst: Instance, work: Instance, matching: Matching, names: Sequence[str],
+              rule: Optional[str], split: Optional[UnreservedSplit],
+              budget: int) -> list[axioms.AxiomReport]:
+    """Run each named axiom: matching checkers on (work, matching), harnesses
+    on ``rule`` re-run over manipulations of ``inst``."""
+    if "max_size" in names and not axioms.check_eligibility(work, matching).holds:
+        # max_size is defined only for compliant matchings: otherwise the
+        # eligibility report, with its witness, stands in for it, once
+        names = [("eligibility" if a == "max_size" else a) for a in names
+                 if a != "max_size" or "eligibility" not in names]
+    reports = []
+    for axiom in names:
+        check = getattr(axioms, f"check_{axiom}")
+        if axiom not in HARNESS_AXIOMS:
+            reports.append(check(work, matching))
+        elif rule is None:
+            raise ValidationError(f"axiom {axiom!r} needs --rule, not a fixed matching")
+        else:
+            reports.append(check(rule, inst, budget=budget, split=split))
+    return reports
+
+
 def cmd_check(args) -> int:
     if args.manipulation_budget < 0:
         raise ValidationError("--manipulation-budget must be nonnegative")
@@ -286,45 +313,19 @@ def cmd_check(args) -> int:
 
     if args.rule:
         matching, work, split, _ = _run_rule(args.rule, inst, doc, args)
-        if args.axioms == "all" and args.rule in ("rr", "srr", "soft"):
-            requested = requested + HARNESS_AXIOMS
     else:
         split = resolve_split(inst, doc, args.split, required=False)
         work = effective_instance(inst, split)
         matching = parse_matching_doc(work, _read(args.matching))
+    if args.axioms == "all":
+        requested = tuple(a for a in requested
+                          if (a != "max_beneficiary" or work.preferential_ids)
+                          and (a != "order_preservation" or work.has_unreserved))
+        if args.rule in axioms.HARNESS_RULES:
+            requested += HARNESS_AXIOMS
 
-    harness_rule = {"soft": "soft_reserves"}.get(args.rule, args.rule)
-    reports = []
-    for axiom in requested:
-        if axiom == "eligibility":
-            rep = axioms.check_eligibility(work, matching)
-        elif axiom == "respect_priorities":
-            rep = axioms.check_respect_priorities(work, matching)
-        elif axiom == "nonwasteful":
-            rep = axioms.check_nonwasteful(work, matching)
-        elif axiom == "max_size":
-            # defined only for compliant matchings: otherwise the eligibility
-            # report, with its witness, stands in for it, once
-            rep = axioms.check_eligibility(work, matching)
-            if rep.holds:
-                rep = axioms.check_max_size(work, matching)
-            elif "eligibility" in requested:
-                continue
-        elif axiom == "max_beneficiary":
-            if args.axioms == "all" and not work.preferential_ids:
-                continue
-            rep = axioms.check_max_beneficiary(work, matching)
-        elif axiom == "order_preservation":
-            if args.axioms == "all" and not work.has_unreserved:
-                continue
-            rep = axioms.check_order_preservation(work, matching)
-        else:  # harnesses re-run the rule on manipulated instances
-            if not args.rule:
-                raise ValidationError(f"axiom {axiom!r} needs --rule, not a fixed matching")
-            rep = getattr(axioms, f"check_{axiom}")(
-                harness_rule, inst, budget=args.manipulation_budget, split=split)
-        reports.append(report_doc(work, rep))
-
+    reports = [report_doc(work, rep) for rep in _evaluate(
+        inst, work, matching, requested, args.rule, split, args.manipulation_budget)]
     _emit(args, reports)
     return EXIT_OK if all(r["holds"] for r in reports) else EXIT_AXIOM_FAIL
 
@@ -361,32 +362,16 @@ def cmd_verify(args) -> int:
             print(f"instance {idx}: skipped characterization ({e})", file=sys.stderr)
             skipped += 1
 
-        matching, _ = rr(inst)
-        for name, rep2 in (
-            ("eligibility", axioms.check_eligibility(inst, matching)),
-            ("respect_priorities", axioms.check_respect_priorities(inst, matching)),
-            ("nonwasteful", axioms.check_nonwasteful(inst, matching)),
-            ("max_size", axioms.check_max_size(inst, matching)),
-            ("strategyproofness",
-             axioms.check_strategyproofness("rr", inst, args.manipulation_budget)),
-            ("weak_nonbossiness",
-             axioms.check_weak_nonbossiness("rr", inst, args.manipulation_budget)),
-        ):
-            if not rep2.holds:
-                problems.append(f"rr violates {name}: {rep2.witnesses[:1]}")
-
+        runs = [("rr", inst, None, VERIFY_RR_AXIOMS)]
         if inst.has_unreserved:
             split = UnreservedSplit(0, inst.unreserved_quota)
-            sm = srr(inst, split)
-            work = inst.with_split(split.q1, split.q2)
-            for name, rep2 in (
-                ("eligibility", axioms.check_eligibility(work, sm)),
-                ("respect_priorities", axioms.check_respect_priorities(work, sm)),
-                ("max_beneficiary", axioms.check_max_beneficiary(work, sm)),
-                ("order_preservation", axioms.check_order_preservation(inst, sm, split)),
-            ):
-                if not rep2.holds:
-                    problems.append(f"srr violates {name}: {rep2.witnesses[:1]}")
+            runs.append(("srr", inst.with_split(split.q1, split.q2), split, VERIFY_SRR_AXIOMS))
+        for rule, work, split, names in runs:
+            matching = axioms.HARNESS_RULES[rule](inst, split)
+            for rep in _evaluate(inst, work, matching, names, rule, split,
+                                 args.manipulation_budget):
+                if not rep.holds:
+                    problems.append(f"{rule} violates {rep.axiom}: {rep.witnesses[:1]}")
 
         if problems:
             failed += 1
@@ -412,9 +397,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to a file instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ParseError, so main reports them in one line;
+    subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="reserves",
-                                  description="priority-respecting rationing rules")
+    top = _Parser(prog="reserves", description="priority-respecting rationing rules")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("allocate", help="run an allocation rule on an instance")
@@ -465,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ParseError, ValidationError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .axioms import check_respect_priorities
-from .graph import ReservationGraph, _RejectionEngine, reduced_graph
+from .graph import ReservationGraph, _RejectionEngine, reduced_graph, reservation_graph
 from .model import Instance, Kind, Matching
 from .rules import _rr_trace
 
@@ -41,25 +41,7 @@ def enumerate_matchings(inst: Instance, max_agents: int = MAX_ENUM_AGENTS) -> It
     """
     if inst.n > max_agents:
         raise OracleBoundError(f"instance has {inst.n} agents, bound is {max_agents}")
-    elig = [inst.eligible_categories(i) for i in range(inst.n)]
-    quotas = [c.quota for c in inst.categories]
-    used = [0] * len(inst.categories)
-    current: dict[int, int] = {}
-
-    def walk(i: int) -> Iterator[Matching]:
-        if i == inst.n:
-            yield Matching(dict(current))
-            return
-        for c in elig[i]:
-            if used[c] < quotas[c]:
-                used[c] += 1
-                current[i] = c
-                yield from walk(i + 1)
-                del current[i]
-                used[c] -= 1
-        yield from walk(i + 1)
-
-    return walk(0)
+    return (Matching(m) for m in _graph_matchings(reservation_graph(inst)))
 
 
 def _graph_matchings(g: ReservationGraph) -> Iterator[dict[int, int]]:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from conftest import EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC
+from reserves import axioms
 from reserves.cli import main
 
 
@@ -12,6 +13,12 @@ def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def with_files(tmp_path, argv):
+    """argv with each dict written to a JSON file and replaced by its path."""
+    return [write(tmp_path, f"{k}.json", a) if isinstance(a, dict) else a
+            for k, a in enumerate(argv)]
 
 
 def run(capsys, argv):
@@ -92,6 +99,44 @@ def test_check_rule_output_all_axioms(tmp_path, capsys):
     assert all(r["holds"] for r in reports)
 
 
+MATCHING_NAMES = ["eligibility", "respect_priorities", "nonwasteful", "max_size",
+                  "max_beneficiary", "order_preservation"]
+HARNESS_NAMES = ["strategyproofness", "weak_nonbossiness"]
+UNRESERVED_ONLY_DOC = {"agents": ["1"], "baseline": ["1"],
+                       "categories": [{"name": "u", "quota": 1, "kind": "unreserved"}]}
+
+
+@pytest.mark.parametrize("doc,flags,expected", [
+    (RESERVE_DOC, ["--matching", {"assignment": {"1": "c", "2": "c_u"}}], MATCHING_NAMES),
+    (RUNNING_DOC, ["--matching", {"assignment": {"2": "c2", "3": "c1"}}], MATCHING_NAMES[:5]),
+    (UNRESERVED_ONLY_DOC, ["--matching", {"assignment": {"1": "u"}}],
+     MATCHING_NAMES[:4] + MATCHING_NAMES[5:]),
+    (RESERVE_DOC, ["--rule", "rr"], MATCHING_NAMES + HARNESS_NAMES),
+    (RESERVE_DOC, ["--rule", "srr", "--split", "0,1"], MATCHING_NAMES + HARNESS_NAMES),
+    (RESERVE_DOC, ["--rule", "soft", "--split", "0,1"], MATCHING_NAMES + HARNESS_NAMES),
+    (RESERVE_DOC, ["--rule", "mg"], MATCHING_NAMES),
+    (RESERVE_DOC, ["--rule", "oaa"], MATCHING_NAMES),
+    (RUNNING_DOC, ["--rule", "da", "--prefs", {"prefs": {"2": ["c1", "c2"], "3": ["c1"]}}],
+     MATCHING_NAMES[:5]),
+])
+def test_check_all_reports_exact_axiom_names(tmp_path, capsys, doc, flags, expected):
+    # "all" drops max_beneficiary without a preferential category and
+    # order_preservation without the unreserved pair, and adds the harnesses
+    # for the rules they can re-run
+    code, reports = run(capsys, with_files(tmp_path, [
+        "check", "--instance", doc, "--manipulation-budget", "2", *flags]))
+    assert code in (0, 1)
+    assert [r["axiom"] for r in reports] == expected
+
+
+def test_harness_error_names_cli_rules(tmp_path, capsys):
+    assert main(["gen", "--agents", "4", "--categories", "1", "--seed", "3",
+                 "--unreserved", "2", "--out", str(tmp_path / "i.json")]) == 0
+    err = input_error(capsys, ["check", "--instance", str(tmp_path / "i.json"),
+                               "--rule", "mg", "--axioms", "strategyproofness"])
+    assert "'soft'" in err and "soft_reserves" not in err and "'mg'" in err
+
+
 def test_check_da_max_size_gap(tmp_path, capsys):
     inst = write(tmp_path, "i.json", RUNNING_DOC)
     prefs = write(tmp_path, "p.json", {"prefs": {"2": ["c1", "c2"], "3": ["c1"]}})
@@ -156,6 +201,35 @@ def input_error(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["allocate", "--rule", "rr"],                                   # missing --instance
+    ["check", "--instance", "i.json", "--manipulation-budget", "x"],  # bad int
+    ["allocate", "--rule", "srr", "--instance", "i.json", "--split", "-1,3"],
+    ["nope"],                                                       # unknown subcommand
+    [],
+])
+def test_usage_errors_are_one_line(capsys, argv):
+    input_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["allocate", "--rule", "srr"],
+    ["allocate", "--rule", "soft"],
+    ["check", "--rule", "srr"],
+    ["check", "--rule", "soft"],
+    ["check", "--matching", {"assignment": {"1": "c"}}],
+])
+def test_split_that_does_not_partition_the_quota_is_an_input_error(tmp_path, capsys, argv):
+    assert "does not partition" in input_error(capsys, with_files(
+        tmp_path, [*argv, "--instance", RESERVE_DOC, "--split", "5,5"]))
+
+
+def test_split_without_unreserved_pair_stays_a_precondition_error(tmp_path, capsys):
+    inst = write(tmp_path, "i.json", RUNNING_DOC)
+    assert main(["allocate", "--rule", "srr", "--instance", inst, "--split", "0,0"]) == 3
+    assert "unreserved category pair" in capsys.readouterr().err
 
 
 def test_booleans_are_not_counts(tmp_path, capsys):
@@ -267,6 +341,17 @@ def test_verify_zero_and_small_run(capsys):
     assert main(["verify", "--count", "8", "--max-agents", "4", "--seed", "5",
                  "--unreserved", "1", "--manipulation-budget", "2"]) == 0
     assert "8 passed" in capsys.readouterr().out
+
+
+def test_verify_reports_failures_and_first_discrepancy(capsys, monkeypatch):
+    failing = axioms.AxiomReport("nonwasteful", False, (axioms.WasteWitness(0, 0),), 1)
+    monkeypatch.setattr(axioms, "check_nonwasteful", lambda inst, m: failing)
+    assert main(["verify", "--count", "2", "--max-agents", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("verified 2 instances: 0 passed, 2 failed, "
+                        "0 skipped characterization (bound)")
+    assert lines[1] == ("first discrepancy at instance 0: rr violates nonwasteful: "
+                        "(WasteWitness(agent=0, category=0),)")
 
 
 def test_table_format_carries_same_fields(tmp_path, capsys):
