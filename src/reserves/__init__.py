@@ -23,8 +23,7 @@ from .model import (EMPTY, Category, CategoryEdit, Instance, Kind, Manipulation,
 from .oracle import (CharacterizationReport, OracleBoundError,
                      axiom_satisfying_set, enumerate_matchings, rr_outcome_set,
                      verify_characterization)
-from .rules import (PreconditionError, RrDecision, RrTrace, UnreservedSplit,
-                    deferred_acceptance, minimum_guarantees, over_and_above, rr,
-                    soft_reserves, srr)
+from .rules import (PreconditionError, RrDecision, RrTrace, deferred_acceptance,
+                    minimum_guarantees, over_and_above, rr, soft_reserves, srr)
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ AxiomReport carrying concrete witnesses for each violation found, capped at a
 configurable count. The two harnesses re-run a rule, named as on the command
 line (``rr``, ``srr`` or ``soft``, the keys of ``HARNESS_RULES``), under
 enumerated priority decreases of unmatched agents, so their verdicts are
-relative to the tested manipulation space.
+relative to the tested manipulation space. srr and soft run at the split the
+instance carries, which every manipulated instance keeps.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional
 from .graph import _RejectionEngine
 from .model import (Instance, Matching, ValidationError,
                     enumerate_priority_decreases, validate_matching)
-from .rules import UnreservedSplit, rr, soft_reserves, srr
+from .rules import rr, soft_reserves, srr
 
 MAX_WITNESSES = 10
 
@@ -152,16 +153,14 @@ def check_max_beneficiary(inst: Instance, m: Matching,
 
 
 def check_order_preservation(inst: Instance, m: Matching,
-                             split: Optional[UnreservedSplit] = None,
                              max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
     """No two agents may be able to swap so that an earlier pool (early
     unreserved, then preferential, then late unreserved) gains a
     higher-priority agent without breaking eligibility."""
-    cf, cl = inst.unreserved_first_id, inst.unreserved_last_id
-    if cf is None or cl is None:
+    if inst.split is None:
         raise ValidationError("order preservation needs the unreserved category pair")
-    work = inst.with_split(split.q1, split.q2) if split is not None else inst
-    validate_matching(work, m)
+    cf, cl = inst.unreserved_first_id, inst.unreserved_last_id
+    validate_matching(inst, m)
     pref = set(inst.preferential_ids)
     bad = []
     for i, ci in m.pairs():
@@ -182,26 +181,25 @@ def check_order_preservation(inst: Instance, m: Matching,
     return _report("order_preservation", bad, max_witnesses)
 
 
-#: the rules the harnesses can re-run, by CLI name: (instance, split) -> matching
-HARNESS_RULES = {"rr": lambda inst, split: rr(inst)[0], "srr": srr, "soft": soft_reserves}
+#: the rules the harnesses can re-run, by CLI name: instance -> matching
+HARNESS_RULES = {"rr": lambda inst: rr(inst)[0], "srr": srr, "soft": soft_reserves}
 
 
-def _rule_fn(rule: str, split: Optional[UnreservedSplit]) -> Callable[[Instance], Matching]:
+def _rule_fn(rule: str) -> Callable[[Instance], Matching]:
     if rule not in HARNESS_RULES:
         raise ValidationError(
             f"manipulation harnesses support {tuple(HARNESS_RULES)}, not {rule!r}")
-    return lambda inst: HARNESS_RULES[rule](inst, split)
+    return HARNESS_RULES[rule]
 
 
 def check_strategyproofness(rule: str, inst: Instance, budget: int = 8,
-                            split: Optional[UnreservedSplit] = None,
                             max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
     """No unmatched agent may become matched by lowering her own reports.
 
     Exhaustive over hide-subsets of each unmatched agent's preferential
     eligibilities; single-tier demotions are added up to ``budget``.
     """
-    fn = _rule_fn(rule, split)
+    fn = _rule_fn(rule)
     base = fn(inst)
     bad = []
     for i in range(inst.n):
@@ -215,11 +213,10 @@ def check_strategyproofness(rule: str, inst: Instance, budget: int = 8,
 
 
 def check_weak_nonbossiness(rule: str, inst: Instance, budget: int = 8,
-                            split: Optional[UnreservedSplit] = None,
                             max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
     """An unmatched agent's priority decrease may not flip the matched status
     of anyone below her in the baseline."""
-    fn = _rule_fn(rule, split)
+    fn = _rule_fn(rule)
     base = fn(inst)
     bad = []
     for i in range(inst.n):

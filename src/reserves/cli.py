@@ -14,10 +14,10 @@ from typing import Optional, Sequence
 
 from . import axioms, oracle
 from .generator import random_instance_document
-from .model import (Instance, Matching, ParseError, ValidationError,
+from .model import (Instance, Matching, ParseError, ValidationError, decode_json,
                     instance_from_document, parse_document, validate_matching)
-from .rules import (PreconditionError, UnreservedSplit, deferred_acceptance,
-                    minimum_guarantees, over_and_above, rr)
+from .rules import (PreconditionError, deferred_acceptance, minimum_guarantees,
+                    over_and_above, rr)
 
 EXIT_OK = 0
 EXIT_AXIOM_FAIL = 1
@@ -25,6 +25,7 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 RULES = ("rr", "srr", "mg", "oaa", "da", "soft")
+SPLIT_RULES = ("srr", "soft")  # the rules --split applies to
 MATCHING_AXIOMS = ("eligibility", "respect_priorities", "nonwasteful", "max_size",
                    "max_beneficiary", "order_preservation")
 HARNESS_AXIOMS = ("strategyproofness", "weak_nonbossiness")
@@ -78,42 +79,21 @@ def load_instance(path: str) -> tuple[Instance, dict]:
     return instance_from_document(doc), doc
 
 
-def parse_split_flag(text: str) -> UnreservedSplit:
-    try:
-        q1, q2 = (int(part) for part in text.split(","))
-    except ValueError:
-        raise ParseError(f"--split must be 'q1,q2', got {text!r}") from None
-    return UnreservedSplit(q1, q2)
-
-
-def resolve_split(inst: Instance, doc: dict, flag: Optional[str],
-                  required: bool) -> Optional[UnreservedSplit]:
-    """CLI split: the flag wins, else the document's explicit one; rules that
-    need a split fail without either."""
-    if flag is not None:
-        split = parse_split_flag(flag)
-        if inst.has_unreserved:
-            inst.with_split(split.q1, split.q2)  # raises ValidationError unless a partition
-        return split
-    if "unreserved_split" in doc:
-        sp = doc["unreserved_split"]
-        return UnreservedSplit(sp["first"], sp["last"])
-    if required:
-        raise PreconditionError("rule needs --split q1,q2 (or unreserved_split in the instance)")
-    return None
-
-
-def effective_instance(inst: Instance, split: Optional[UnreservedSplit]) -> Instance:
-    if split is None or not inst.has_unreserved:
+def apply_split_flag(inst: Instance, flag: Optional[str]) -> Instance:
+    """The instance at the split a ``--split q1,q2`` flag gives, which must
+    partition the unreserved quota; unchanged without a flag or an unreserved
+    pair (srr and soft then report the missing pair)."""
+    if flag is None:
         return inst
-    return inst.with_split(split.q1, split.q2)
+    try:
+        first, last = (int(part) for part in flag.split(","))
+    except ValueError:
+        raise ParseError(f"--split must be 'q1,q2', got {flag!r}") from None
+    return inst.with_split(first, last) if inst.has_unreserved else inst
 
 
 def parse_matching_doc(inst: Instance, raw: bytes) -> Matching:
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ParseError(f"invalid matching JSON: {e}") from None
+    doc = decode_json(raw, "invalid matching JSON: ", "invalid matching JSON: ")
     if isinstance(doc, dict) and "assignment" in doc:
         doc = doc["assignment"]
     if not isinstance(doc, dict):
@@ -208,29 +188,29 @@ def _as_table(payload, indent: str = "") -> str:
 # ---------------------------------------------------------------------------
 
 def _run_rule(rule: str, inst: Instance, doc: dict, args):
-    """Returns (matching, evaluation instance, split used, trace or None)."""
+    """Returns (matching, evaluation instance, trace or None)."""
+    if args.split is not None and rule in RULES and rule not in SPLIT_RULES:
+        raise ValidationError(f"--split applies to srr and soft, not {rule!r}")
     if rule == "rr":
         matching, trace = rr(inst)
-        return matching, inst, None, trace
-    if rule in ("srr", "soft"):
-        split = resolve_split(inst, doc, args.split, required=True)
-        matching = axioms.HARNESS_RULES[rule](inst, split)
-        return matching, effective_instance(inst, split), split, None
+        return matching, inst, trace
+    if rule in SPLIT_RULES:
+        if args.split is None and "unreserved_split" not in doc:
+            raise PreconditionError("rule needs --split q1,q2 (or unreserved_split in the instance)")
+        work = apply_split_flag(inst, args.split)
+        return axioms.HARNESS_RULES[rule](work), work, None
     if rule == "mg":
         matching = minimum_guarantees(inst)
-        split = UnreservedSplit(0, inst.unreserved_quota) if inst.has_unreserved else None
-        return matching, effective_instance(inst, split), split, None
+        q = inst.unreserved_quota
+        return matching, inst.with_split(0, q) if inst.has_unreserved else inst, None
     if rule == "oaa":
         matching = over_and_above(inst)
-        split = UnreservedSplit(inst.unreserved_quota, 0) if inst.has_unreserved else None
-        return matching, effective_instance(inst, split), split, None
+        q = inst.unreserved_quota
+        return matching, inst.with_split(q, 0) if inst.has_unreserved else inst, None
     if rule == "da":
         if not args.prefs:
             raise PreconditionError("rule da needs --prefs <path>")
-        try:
-            prefs_doc = json.loads(_read(args.prefs).decode("utf-8"))
-        except UnicodeDecodeError as e:
-            raise ParseError(f"preferences file is not UTF-8: {e}") from None
+        prefs_doc = decode_json(_read(args.prefs), "preferences file is not UTF-8: ", "")
         if isinstance(prefs_doc, dict) and "prefs" in prefs_doc:
             prefs_doc = prefs_doc["prefs"]
         if not isinstance(prefs_doc, dict):
@@ -247,21 +227,22 @@ def _run_rule(rule: str, inst: Instance, doc: dict, args):
                 prefs[agent_ids[agent]] = [cat_ids[c] for c in cats]
             except (KeyError, TypeError):
                 raise ValidationError(f"bad category list for agent {agent!r}") from None
-        return deferred_acceptance(inst, prefs), inst, None, None
+        return deferred_acceptance(inst, prefs), inst, None
     raise ValidationError(f"unknown rule {args.rule!r} (choose from {', '.join(RULES)})")
 
 
 def cmd_allocate(args) -> int:
     inst, doc = load_instance(args.instance)
-    matching, work, split, trace = _run_rule(args.rule, inst, doc, args)
+    matching, work, trace = _run_rule(args.rule, inst, doc, args)
     out = {
         "rule": args.rule,
         "assignment": matching_doc(work, matching),
         "size": matching.size(),
         "utilization": utilization_doc(work, matching),
     }
-    if split is not None:
-        out["split"] = {"first": split.q1, "last": split.q2}
+    if args.rule not in ("rr", "da") and work.split is not None:
+        # the rules that process the unreserved pools in order echo their split
+        out["split"] = {"first": work.split[0], "last": work.split[1]}
     if trace is not None:
         out["ms_total"] = trace.ms_total
         out["rejected"] = sorted(inst.agent_names[a] for a in trace.rejected)
@@ -274,11 +255,10 @@ def cmd_allocate(args) -> int:
     return EXIT_OK
 
 
-def _evaluate(inst: Instance, work: Instance, matching: Matching, names: Sequence[str],
-              rule: Optional[str], split: Optional[UnreservedSplit],
-              budget: int) -> list[axioms.AxiomReport]:
+def _evaluate(work: Instance, matching: Matching, names: Sequence[str],
+              rule: Optional[str], budget: int) -> list[axioms.AxiomReport]:
     """Run each named axiom: matching checkers on (work, matching), harnesses
-    on ``rule`` re-run over manipulations of ``inst``."""
+    on ``rule`` re-run over manipulations of ``work``."""
     if "max_size" in names and not axioms.check_eligibility(work, matching).holds:
         # max_size is defined only for compliant matchings: otherwise the
         # eligibility report, with its witness, stands in for it, once
@@ -292,7 +272,7 @@ def _evaluate(inst: Instance, work: Instance, matching: Matching, names: Sequenc
         elif rule is None:
             raise ValidationError(f"axiom {axiom!r} needs --rule, not a fixed matching")
         else:
-            reports.append(check(rule, inst, budget=budget, split=split))
+            reports.append(check(rule, work, budget=budget))
     return reports
 
 
@@ -312,10 +292,9 @@ def cmd_check(args) -> int:
             raise ValidationError(f"unknown axiom {a!r}")
 
     if args.rule:
-        matching, work, split, _ = _run_rule(args.rule, inst, doc, args)
+        matching, work, _ = _run_rule(args.rule, inst, doc, args)
     else:
-        split = resolve_split(inst, doc, args.split, required=False)
-        work = effective_instance(inst, split)
+        work = apply_split_flag(inst, args.split)
         matching = parse_matching_doc(work, _read(args.matching))
     if args.axioms == "all":
         requested = tuple(a for a in requested
@@ -325,7 +304,7 @@ def cmd_check(args) -> int:
             requested += HARNESS_AXIOMS
 
     reports = [report_doc(work, rep) for rep in _evaluate(
-        inst, work, matching, requested, args.rule, split, args.manipulation_budget)]
+        work, matching, requested, args.rule, args.manipulation_budget)]
     _emit(args, reports)
     return EXIT_OK if all(r["holds"] for r in reports) else EXIT_AXIOM_FAIL
 
@@ -362,14 +341,12 @@ def cmd_verify(args) -> int:
             print(f"instance {idx}: skipped characterization ({e})", file=sys.stderr)
             skipped += 1
 
-        runs = [("rr", inst, None, VERIFY_RR_AXIOMS)]
+        runs = [("rr", inst, VERIFY_RR_AXIOMS)]
         if inst.has_unreserved:
-            split = UnreservedSplit(0, inst.unreserved_quota)
-            runs.append(("srr", inst.with_split(split.q1, split.q2), split, VERIFY_SRR_AXIOMS))
-        for rule, work, split, names in runs:
-            matching = axioms.HARNESS_RULES[rule](inst, split)
-            for rep in _evaluate(inst, work, matching, names, rule, split,
-                                 args.manipulation_budget):
+            runs.append(("srr", inst.with_split(0, inst.unreserved_quota), VERIFY_SRR_AXIOMS))
+        for rule, work, names in runs:
+            matching = axioms.HARNESS_RULES[rule](work)
+            for rep in _evaluate(work, matching, names, rule, args.manipulation_budget):
                 if not rep.holds:
                     problems.append(f"{rule} violates {rep.axiom}: {rep.witnesses[:1]}")
 
@@ -460,7 +437,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ParseError, ValidationError, json.JSONDecodeError) as e:
+    except (ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as e:

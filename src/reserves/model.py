@@ -123,9 +123,10 @@ class Instance:
             raise ValidationError("duplicate agent names")
         if sorted(self.baseline) != list(range(n)):
             raise ValidationError("baseline is not a permutation of all agents")
-        for kind in (Kind.UNRESERVED_FIRST, Kind.UNRESERVED_LAST):
-            if sum(1 for c in self.categories if c.kind is kind) > 1:
-                raise ValidationError(f"more than one {kind.value} category")
+        kinds = [c.kind for c in self.categories]
+        firsts = kinds.count(Kind.UNRESERVED_FIRST)
+        if firsts > 1 or kinds.count(Kind.UNRESERVED_LAST) != firsts:
+            raise ValidationError("unreserved categories must form one (first, last) pair")
         for c in self.categories:
             if c.quota < 0:
                 raise ValidationError(f"negative quota for category {c.name!r}")
@@ -181,15 +182,20 @@ class Instance:
 
     @property
     def has_unreserved(self) -> bool:
-        return self.unreserved_first_id is not None or self.unreserved_last_id is not None
+        return self.unreserved_first_id is not None
+
+    @property
+    def split(self) -> tuple[int, int] | None:
+        """The unreserved units processed (first, last), around the
+        preferential categories; None without an unreserved pair."""
+        cf, cl = self.unreserved_first_id, self.unreserved_last_id
+        if cf is None:
+            return None
+        return self.categories[cf].quota, self.categories[cl].quota
 
     @property
     def unreserved_quota(self) -> int:
-        total = 0
-        for c in (self.unreserved_first_id, self.unreserved_last_id):
-            if c is not None:
-                total += self.categories[c].quota
-        return total
+        return sum(self.split or ())
 
     def with_split(self, first: int, last: int) -> "Instance":
         """Same instance with the unreserved quota repartitioned as (first, last)."""
@@ -415,17 +421,24 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
     return instance_from_document(parse_document(data))
 
 
+def decode_json(data: Union[bytes, str], not_utf8: str, invalid: str):
+    """``json.loads`` for outside input: undecodable bytes, malformed JSON and
+    nesting too deep for the decoder raise ParseError, with the message
+    prefixed by ``not_utf8`` or ``invalid``."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{not_utf8}{e}") from None
+    try:
+        return json.loads(data)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ParseError(f"{invalid}{e}") from None
+
+
 def parse_document(data: Union[bytes, str]) -> dict:
     """Decode JSON instance text into the document object, unchecked."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"instance file is not UTF-8: {e}") from None
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from None
+    doc = decode_json(data, "instance file is not UTF-8: ", "invalid JSON: ")
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     return doc
@@ -437,7 +450,8 @@ def instance_from_document(doc: dict) -> Instance:
     A document's single ``unreserved`` category becomes the internal
     (earlier, later) pair; ``unreserved_split`` fixes their quotas and
     defaults to processing every unreserved unit last. Category names must
-    be unique.
+    be unique and may not end in ``[first]`` or ``[last]``, the suffixes
+    that tell the two unreserved pools apart in matching documents.
     """
     agent_names = _require(doc, "agents", list, "document")
     for a in agent_names:
@@ -463,6 +477,8 @@ def instance_from_document(doc: dict) -> Instance:
         name = _require(cd, "name", str, "category")
         if any(c.name == name for c in categories):
             raise ValidationError(f"duplicate category name {name!r}")
+        if name.endswith(("[first]", "[last]")):
+            raise ValidationError(f"category name {name!r} may not end in [first] or [last]")
         quota = _require(cd, "quota", int, f"category {name!r}")
         kind = _require(cd, "kind", str, f"category {name!r}")
         if kind == "preferential":
@@ -507,16 +523,14 @@ def instance_from_document(doc: dict) -> Instance:
 def serialize_instance(inst: Instance) -> dict:
     """Inverse of parse_instance (the unreserved pair folds back into one entry)."""
     names = inst.agent_names
-    cf, cl = inst.unreserved_first_id, inst.unreserved_last_id
-    first = inst.categories[cf].quota if cf is not None else 0
-    last = inst.categories[cl].quota if cl is not None else 0
-    merge_at = min(c for c in (cf, cl) if c is not None) if inst.has_unreserved else None
+    split = inst.split
+    merge_at = min(inst.unreserved_first_id, inst.unreserved_last_id) if split else None
 
     cats: list[dict] = []
     for c, cat in enumerate(inst.categories):
         if cat.kind.is_unreserved:
             if c == merge_at:
-                cats.append({"name": cat.name, "quota": first + last, "kind": "unreserved"})
+                cats.append({"name": cat.name, "quota": sum(split), "kind": "unreserved"})
             continue
         cats.append({
             "name": cat.name,
@@ -530,6 +544,6 @@ def serialize_instance(inst: Instance) -> dict:
         "baseline": [names[a] for a in inst.baseline],
         "categories": cats,
     }
-    if merge_at is not None:
-        doc["unreserved_split"] = {"first": first, "last": last}
+    if split is not None:
+        doc["unreserved_split"] = {"first": split[0], "last": split[1]}
     return doc

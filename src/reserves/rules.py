@@ -4,10 +4,12 @@ The central rule is the rejection scan (``rr``): walk the baseline from the
 bottom, reject an agent exactly when a full-size matching survives without
 her and without giving her justified envy, then match everyone left. ``srr``
 wraps it with an unreserved category whose units are handed out partly
-before and partly after the preferential ones. The classical one-category
-rules (minimum guarantees, over-and-above) and an agent-proposing deferred
-acceptance baseline are provided for comparison, plus a soft-reserves
-variant that hands leftover preferential units to ineligible agents.
+before and partly after the preferential ones. The instance carries that
+split (``Instance.split``); ``Instance.with_split`` gives the same instance
+at another one. The classical one-category rules (minimum guarantees,
+over-and-above) and an agent-proposing deferred acceptance baseline are
+provided for comparison, plus a soft-reserves variant that hands leftover
+preferential units to ineligible agents.
 """
 
 from __future__ import annotations
@@ -37,15 +39,6 @@ class RrTrace:
     rejected: frozenset[int]
     decisions: tuple[RrDecision, ...]
     ms_total: int
-
-
-@dataclass(frozen=True)
-class UnreservedSplit:
-    """How many unreserved units are processed before / after the
-    preferential categories."""
-
-    q1: int
-    q2: int
 
 
 def rr(inst: Instance, cats: Optional[Iterable[int]] = None) -> tuple[Matching, RrTrace]:
@@ -95,21 +88,7 @@ def _reject_scan(engine: _RejectionEngine) -> tuple[RrDecision, ...]:
     return tuple(decisions)
 
 
-def _resolve_split(inst: Instance, split: Optional[UnreservedSplit]) -> UnreservedSplit:
-    cf, cl = inst.unreserved_first_id, inst.unreserved_last_id
-    if cf is None or cl is None:
-        raise PreconditionError("instance has no unreserved category pair")
-    if split is None:
-        split = UnreservedSplit(inst.categories[cf].quota, inst.categories[cl].quota)
-    if split.q1 < 0 or split.q2 < 0 or split.q1 + split.q2 != inst.unreserved_quota:
-        raise PreconditionError(
-            f"split ({split.q1}, {split.q2}) does not partition the unreserved "
-            f"quota {inst.unreserved_quota}"
-        )
-    return split
-
-
-def srr(inst: Instance, split: Optional[UnreservedSplit] = None) -> Matching:
+def srr(inst: Instance) -> Matching:
     """Rejection scan with an unreserved category processed around it.
 
     Phase 1 walks the baseline from the top and hands an early unreserved
@@ -117,17 +96,19 @@ def srr(inst: Instance, split: Optional[UnreservedSplit] = None) -> Matching:
     preferential categories, while units remain. Phase 2 runs the rejection
     scan on the preferential categories for everyone else. Phase 3 hands the
     late unreserved units to the remaining unmatched agents in baseline
-    order. The split defaults to the instance's declared one.
+    order. ``inst.split`` gives the (early, late) unit counts.
     """
-    split = _resolve_split(inst, split)
+    if inst.split is None:
+        raise PreconditionError("instance has no unreserved category pair")
+    first, last = inst.split
     cf, cl = inst.unreserved_first_id, inst.unreserved_last_id
 
     engine = _RejectionEngine.of(inst, inst.preferential_ids)
     mstar = engine.size()
     n1: list[int] = []
-    if split.q1 > 0:
+    if first > 0:
         for i in inst.baseline:
-            if len(n1) >= split.q1:
+            if len(n1) >= first:
                 break
             if engine.test_remove(i, prune=False) == mstar:
                 engine.keep()
@@ -142,7 +123,7 @@ def srr(inst: Instance, split: Optional[UnreservedSplit] = None) -> Matching:
 
     granted = 0
     for i in inst.baseline:
-        if granted >= split.q2:
+        if granted >= last:
             break
         if i not in assignment:
             assignment[i] = cl
@@ -189,8 +170,6 @@ def minimum_guarantees(inst: Instance) -> Matching:
     owner = _unique_pref_category(inst)
     _check_consistent_priorities(inst)
     cl = inst.unreserved_last_id
-    if cl is None:
-        cl = inst.unreserved_first_id
     q_cu = inst.unreserved_quota
     used: dict[int, int] = {c: 0 for c in inst.preferential_ids}
     granted = 0
@@ -217,8 +196,6 @@ def over_and_above(inst: Instance) -> Matching:
     owner = _unique_pref_category(inst)
     _check_consistent_priorities(inst)
     cf = inst.unreserved_first_id
-    if cf is None:
-        cf = inst.unreserved_last_id
     q_cu = inst.unreserved_quota
     assignment: dict[int, int] = {}
     granted = 0
@@ -301,7 +278,7 @@ def deferred_acceptance(inst: Instance, prefs: Mapping[int, Sequence[int]]) -> M
     return Matching(matched)
 
 
-def soft_reserves(inst: Instance, split: Optional[UnreservedSplit] = None) -> Matching:
+def soft_reserves(inst: Instance) -> Matching:
     """srr, then leftover preferential units go to unmatched agents in
     baseline order regardless of eligibility.
 
@@ -322,7 +299,7 @@ def soft_reserves(inst: Instance, split: Optional[UnreservedSplit] = None) -> Ma
                     f"category {inst.categories[c].name!r} ranks ineligible agents "
                     "against the baseline ordering"
                 )
-    matching = srr(inst, split)
+    matching = srr(inst)
     spare = {c: inst.categories[c].quota - matching.count_in(c) for c in inst.preferential_ids}
     pool = [c for c in inst.preferential_ids if spare[c] > 0]
     for i in inst.baseline:

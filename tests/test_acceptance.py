@@ -17,8 +17,8 @@ from reserves.generator import random_instance
 from reserves.graph import max_matching_size, reservation_graph
 from reserves.model import CategoryEdit, Manipulation, apply_manipulation
 from reserves.oracle import enumerate_matchings, verify_characterization
-from reserves.rules import (UnreservedSplit, deferred_acceptance,
-                            minimum_guarantees, over_and_above, rr, srr)
+from reserves.rules import (deferred_acceptance, minimum_guarantees, over_and_above,
+                            rr, srr)
 
 
 def _pass(criterion: int, message: str) -> None:
@@ -125,16 +125,15 @@ def test_criterion_8_unreserved_property_suite():
                                eligibility_density=(0.3, 0.6, 0.9)[seed % 3],
                                tie_prob=(0.0, 0.3)[seed % 2], seed=20000 + seed,
                                unreserved=q_cu)
-        for split in (UnreservedSplit(0, q_cu), UnreservedSplit(q_cu, 0),
-                      UnreservedSplit(1, q_cu - 1)):
-            matching = srr(inst, split)
-            work = inst.with_split(split.q1, split.q2)
+        for split in ((0, q_cu), (q_cu, 0), (1, q_cu - 1)):
+            work = inst.with_split(*split)
+            matching = srr(work)
             assert check_eligibility(work, matching).holds
             assert check_max_beneficiary(work, matching).holds
             assert check_respect_priorities(work, matching).holds
-            assert check_order_preservation(inst, matching, split).holds
-            assert check_strategyproofness("srr", inst, budget=0, split=split).holds
-            assert check_weak_nonbossiness("srr", inst, budget=0, split=split).holds
+            assert check_order_preservation(work, matching).holds
+            assert check_strategyproofness("srr", work, budget=0).holds
+            assert check_weak_nonbossiness("srr", work, budget=0).holds
     assert instances >= 500
     _pass(8, f"srr passes the six-property suite on {instances} instances x 3 splits")
 
@@ -146,15 +145,14 @@ def test_criterion_9_classical_rules_versus_srr():
         inst = mg_pattern_instance(seed, agents=5 + seed % 3, cats=1 + seed % 2,
                                    unreserved=1 + seed % 3)
         q = inst.unreserved_quota
-        assert srr(inst, UnreservedSplit(0, q)) == minimum_guarantees(inst)
-        early = srr(inst, UnreservedSplit(q, 0))
-        split = UnreservedSplit(q, 0)
+        assert srr(inst.with_split(0, q)) == minimum_guarantees(inst)
         work = inst.with_split(q, 0)
+        early = srr(work)
         assert check_eligibility(work, early).holds
         assert check_max_beneficiary(work, early).holds
         assert check_respect_priorities(work, early).holds
         assert check_nonwasteful(work, early).holds
-        assert check_order_preservation(inst, early, split).holds
+        assert check_order_preservation(work, early).holds
     assert count >= 200
     _pass(9, f"srr(0,q) equals minimum-guarantees exactly on {count} instances; "
              "srr(q,0) satisfies the over-and-above property set")

@@ -11,7 +11,7 @@ from reserves.generator import random_instance
 from reserves.graph import reduced_graph
 from reserves.model import Matching, ValidationError
 from reserves.oracle import enumerate_matchings
-from reserves.rules import UnreservedSplit, rr
+from reserves.rules import rr
 
 # matchings of the running example, keyed by the usual enumeration
 MU = {
@@ -127,15 +127,15 @@ def test_max_beneficiary_without_preferential():
 
 
 def test_order_preservation_holds_for_mg_outcome(reserve):
-    split = UnreservedSplit(0, 1)
-    assert check_order_preservation(reserve, Matching({0: 0, 1: 2}), split).holds
+    work = reserve.with_split(0, 1)
+    assert check_order_preservation(work, Matching({0: 0, 1: 2})).holds
 
 
 def test_order_preservation_clause2_violation(reserve):
     # agent 1 parks in the late pool while agent 4 takes the category that
     # ranks agent 1 first
-    split = UnreservedSplit(0, 1)
-    rep = check_order_preservation(reserve, Matching({3: 0, 0: 2}), split)
+    work = reserve.with_split(0, 1)
+    rep = check_order_preservation(work, Matching({3: 0, 0: 2}))
     assert not rep.holds
     w = rep.witnesses[0]
     assert (w.clause, w.agent_early, w.agent_late) == (2, 0, 3)
@@ -146,14 +146,14 @@ def test_order_preservation_clause1_violation(early_pool):
     # c1, outranks her in the baseline and 3 could take c1 instead
     # (ids: 0/1 = unreserved early/late pools, 2 = c1, 3 = c2)
     m = Matching({2: 0, 0: 2, 1: 3})
-    rep = check_order_preservation(early_pool, m, UnreservedSplit(1, 0))
+    rep = check_order_preservation(early_pool.with_split(1, 0), m)
     assert not rep.holds
     w = rep.witnesses[0]
     assert (w.clause, w.agent_early, w.agent_late) == (1, 0, 2)
 
 
 def test_order_preservation_vacuous_without_pool_use(reserve):
-    assert check_order_preservation(reserve, Matching({0: 0}), UnreservedSplit(0, 1)).holds
+    assert check_order_preservation(reserve.with_split(0, 1), Matching({0: 0})).holds
 
 
 def test_strategyproofness_running(running):

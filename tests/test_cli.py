@@ -232,6 +232,28 @@ def test_split_without_unreserved_pair_stays_a_precondition_error(tmp_path, caps
     assert "unreserved category pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rule", ["rr", "mg", "oaa", "da"])
+def test_split_flag_is_an_input_error_for_other_rules(tmp_path, capsys, rule):
+    # mg and oaa fix their own split; rr and da have none
+    for command in ("allocate", "check"):
+        for split in ("1,0", "garbage"):
+            err = input_error(capsys, with_files(tmp_path, [
+                command, "--rule", rule, "--instance", RESERVE_DOC, "--split", split,
+                "--prefs", {"prefs": {}}]))
+            assert err == f"error: --split applies to srr and soft, not {rule!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["allocate", "--rule", "rr", "--instance", "DEEP"],
+    ["check", "--instance", RUNNING_DOC, "--matching", "DEEP"],
+    ["allocate", "--rule", "da", "--instance", RUNNING_DOC, "--prefs", "DEEP"],
+])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    input_error(capsys, [str(deep) if a == "DEEP" else a for a in with_files(tmp_path, argv)])
+
+
 def test_booleans_are_not_counts(tmp_path, capsys):
     for cat, split in (({"quota": True}, None), ({"cutoff": True}, None),
                        ({}, {"first": True, "last": 0}), ({}, {"first": 0, "last": False})):
@@ -277,6 +299,20 @@ def test_category_names_are_unique(tmp_path, capsys):
         inst = write(tmp_path, "i.json", doc)
         assert f"duplicate category name {clash!r}" in input_error(
             capsys, ["allocate", "--rule", "rr", "--instance", inst])
+
+
+def test_category_names_may_not_end_like_an_unreserved_pool(tmp_path, capsys):
+    # with split (1, 1) the pools print as u[first] and u[last], so a category
+    # named so would share their display name in outputs and matchings
+    for name in ("u[first]", "u[last]"):
+        doc = {"agents": ["1", "2", "3"], "baseline": ["1", "2", "3"],
+               "categories": [{"name": name, "quota": 1, "kind": "preferential",
+                               "tiers": [["3"]], "cutoff": 1},
+                              {"name": "u", "quota": 2, "kind": "unreserved"}],
+               "unreserved_split": {"first": 1, "last": 1}}
+        inst = write(tmp_path, "i.json", doc)
+        assert "may not end in [first] or [last]" in input_error(
+            capsys, ["allocate", "--rule", "srr", "--instance", inst])
 
 
 def test_unwritable_out_path(tmp_path, capsys):

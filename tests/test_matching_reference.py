@@ -13,7 +13,7 @@ from reserves.axioms import SizeGapWitness, check_max_beneficiary, check_max_siz
 from reserves.generator import random_instance
 from reserves.graph import max_matching, max_matching_size, reservation_graph
 from reserves.model import Matching
-from reserves.rules import UnreservedSplit, rr, srr
+from reserves.rules import rr, srr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -71,10 +71,10 @@ def test_max_matching_size_equals_reference():
         if not inst.has_unreserved:
             continue
         q = inst.unreserved_quota
-        for split in (UnreservedSplit(0, q), UnreservedSplit(q, 0),
-                      UnreservedSplit(q // 2, q - q // 2)):
-            matching = srr(inst, split)
-            assert check_max_beneficiary(inst.with_split(split.q1, split.q2), matching).holds
+        for split in ((0, q), (q, 0), (q // 2, q - q // 2)):
+            work = inst.with_split(*split)
+            matching = srr(work)
+            assert check_max_beneficiary(work, matching).holds
             got = sum(1 for _, c in matching.pairs() if c in inst.preferential_ids)
             assert got == pref, (seed, split)
 

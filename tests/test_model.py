@@ -4,7 +4,7 @@ import pytest
 
 from conftest import RUNNING_DOC, SCAN_DOC, make_instance
 from reserves.generator import random_instance
-from reserves.model import (EMPTY, CategoryEdit, Manipulation, Matching,
+from reserves.model import (EMPTY, CategoryEdit, Instance, Manipulation, Matching,
                             ParseError, ValidationError, apply_manipulation,
                             enumerate_priority_decreases, parse_instance,
                             priority_decrease_holds, serialize_instance,
@@ -163,12 +163,17 @@ def test_serialize_round_trip_with_unreserved():
     assert again == inst
 
 
-def test_with_split(reserve):
+def test_with_split(reserve, running):
+    assert reserve.split == (0, 1)
+    assert running.split is None
     shifted = reserve.with_split(1, 0)
+    assert shifted.split == (1, 0)
     assert shifted.categories[shifted.unreserved_first_id].quota == 1
     assert shifted.categories[shifted.unreserved_last_id].quota == 0
     with pytest.raises(ValidationError):
         reserve.with_split(2, 1)
+    with pytest.raises(ValidationError):  # a lone unreserved pool has no split
+        Instance(reserve.agent_names, reserve.categories[:2], reserve.baseline)
 
 
 def test_validate_matching(running):

@@ -10,8 +10,8 @@ from reserves.axioms import (check_eligibility, check_max_beneficiary,
 from reserves.generator import random_instance
 from reserves.graph import max_matching, max_matching_size, reduced_graph, reservation_graph
 from reserves.model import ValidationError
-from reserves.rules import (PreconditionError, UnreservedSplit, deferred_acceptance,
-                            minimum_guarantees, over_and_above, rr, soft_reserves, srr)
+from reserves.rules import (PreconditionError, deferred_acceptance, minimum_guarantees,
+                            over_and_above, rr, soft_reserves, srr)
 
 
 def _brute_force_ms(g) -> int:
@@ -146,15 +146,15 @@ def test_rr_core_properties_random():
 # ---------------------------------------------------------------------------
 
 def test_srr_reserve_example_both_splits(reserve):
-    late = srr(reserve, UnreservedSplit(0, 1))
+    late = srr(reserve.with_split(0, 1))
     assert names_of(reserve, late) == {"1": "c", "2": "c_u"}
-    early = srr(reserve, UnreservedSplit(1, 0))
+    early = srr(reserve.with_split(1, 0))
     assert names_of(reserve, early) == {"1": "c_u", "4": "c"}
 
 
 def test_srr_matches_mg_and_oaa_on_reserve_example(reserve):
-    assert srr(reserve, UnreservedSplit(0, 1)) == minimum_guarantees(reserve)
-    assert srr(reserve, UnreservedSplit(1, 0)) == over_and_above(reserve)
+    assert srr(reserve.with_split(0, 1)) == minimum_guarantees(reserve)
+    assert srr(reserve.with_split(1, 0)) == over_and_above(reserve)
 
 
 def test_srr_no_unreserved_units_reduces_to_rr():
@@ -164,19 +164,14 @@ def test_srr_no_unreserved_units_reduces_to_rr():
                 "tiers": [["a"], ["b"]], "cutoff": 2},
                {"name": "u", "quota": 0, "kind": "unreserved"}]}
     inst = make_instance(doc)
-    matching = srr(inst, UnreservedSplit(0, 0))
+    matching = srr(inst.with_split(0, 0))
     rr_matching, _ = rr(inst, cats=inst.preferential_ids)
     assert matching.matched_agents() == rr_matching.matched_agents()
 
 
 def test_srr_requires_unreserved(running):
     with pytest.raises(PreconditionError):
-        srr(running, UnreservedSplit(0, 0))
-
-
-def test_srr_rejects_bad_split(reserve):
-    with pytest.raises(PreconditionError):
-        srr(reserve, UnreservedSplit(1, 1))
+        srr(running)
 
 
 def test_srr_early_pool_golden(early_pool):
@@ -190,14 +185,13 @@ def test_srr_properties_random():
         inst = random_instance(6, 2, seed=seed, eligibility_density=0.5,
                                tie_prob=0.3, unreserved=q_cu)
         for q1 in range(q_cu + 1):
-            split = UnreservedSplit(q1, q_cu - q1)
-            m = srr(inst, split)
             work = inst.with_split(q1, q_cu - q1)
+            m = srr(work)
             assert check_eligibility(work, m).holds
             assert check_max_beneficiary(work, m).holds
             assert check_respect_priorities(work, m).holds
             assert check_nonwasteful(work, m).holds
-            assert check_order_preservation(inst, m, split).holds
+            assert check_order_preservation(work, m).holds
 
 
 def test_mg_golden(reserve):
@@ -240,7 +234,7 @@ def test_mg_oaa_precondition_inconsistent_priorities():
 def test_srr_all_late_equals_mg_exactly():
     for seed in range(40):
         inst = mg_pattern_instance(seed)
-        assert srr(inst, UnreservedSplit(0, inst.unreserved_quota)) == minimum_guarantees(inst)
+        assert srr(inst.with_split(0, inst.unreserved_quota)) == minimum_guarantees(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +317,7 @@ def test_soft_gives_leftover_unit_to_ineligible_agent():
                 "tiers": [["a"]], "cutoff": 1},
                {"name": "u", "quota": 0, "kind": "unreserved"}]}
     inst = make_instance(doc)
-    m = soft_reserves(inst, UnreservedSplit(0, 0))
+    m = soft_reserves(inst.with_split(0, 0))
     assert m.assignment == {0: 0, 1: 0}
     assert not inst.eligible(1, 0)
     # brute force: among all quota-respecting assignments this is the only
@@ -334,8 +328,8 @@ def test_soft_gives_leftover_unit_to_ineligible_agent():
 
 
 def test_soft_identical_to_srr_without_leftovers(reserve):
-    split = UnreservedSplit(0, 1)
-    assert soft_reserves(reserve, split) == srr(reserve, split)
+    work = reserve.with_split(0, 1)
+    assert soft_reserves(work) == srr(work)
 
 
 def test_soft_identical_to_srr_without_recipients():
@@ -346,9 +340,9 @@ def test_soft_identical_to_srr_without_recipients():
                 "tiers": [["a"]], "cutoff": 1},
                {"name": "u", "quota": 0, "kind": "unreserved"}]}
     inst = make_instance(doc)
-    split = UnreservedSplit(0, 0)
-    assert soft_reserves(inst, split) == srr(inst, split)
-    assert soft_reserves(inst, split).assignment == {0: 0}
+    work = inst.with_split(0, 0)
+    assert soft_reserves(work) == srr(work)
+    assert soft_reserves(work).assignment == {0: 0}
 
 
 def test_soft_precondition_rejects_inconsistent_ineligible_ranking():
@@ -360,4 +354,4 @@ def test_soft_precondition_rejects_inconsistent_ineligible_ranking():
     inst = make_instance(doc)  # x is ranked above b below the cutoff, baseline disagrees?
     # baseline a > b > x but the category ranks x above b among ineligibles
     with pytest.raises(PreconditionError):
-        soft_reserves(inst, UnreservedSplit(0, 0))
+        soft_reserves(inst.with_split(0, 0))
