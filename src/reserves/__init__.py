@@ -15,8 +15,8 @@ from .axioms import (AxiomReport, check_eligibility, check_max_beneficiary,
 from .generator import random_instance, random_instance_document
 from .graph import (ReservationGraph, max_matching, max_matching_size,
                     reduced_graph, reservation_graph)
-from .model import (EMPTY, Category, CategoryEdit, Instance, Kind, Manipulation,
-                    Matching, ParseError, PriorityRanking, ValidationError,
+from .model import (EMPTY, Category, Instance, Kind, Matching, ParseError,
+                    PriorityRanking, ValidationError,
                     apply_manipulation, enumerate_priority_decreases,
                     parse_instance, priority_decrease_holds, serialize_instance,
                     strictly_prefers, validate_matching)

@@ -82,7 +82,8 @@ def load_instance(path: str) -> tuple[Instance, dict]:
 def apply_split_flag(inst: Instance, flag: Optional[str]) -> Instance:
     """The instance at the split a ``--split q1,q2`` flag gives, which must
     partition the unreserved quota; unchanged without a flag or an unreserved
-    pair (srr and soft then report the missing pair)."""
+    pair (srr and soft then report the missing pair, check --matching
+    rejects the flag)."""
     if flag is None:
         return inst
     try:
@@ -191,6 +192,8 @@ def _run_rule(rule: str, inst: Instance, doc: dict, args):
     """Returns (matching, evaluation instance, trace or None)."""
     if args.split is not None and rule in RULES and rule not in SPLIT_RULES:
         raise ValidationError(f"--split applies to srr and soft, not {rule!r}")
+    if args.prefs is not None and rule in RULES and rule != "da":
+        raise ValidationError(f"--prefs applies to da, not {rule!r}")
     if rule == "rr":
         matching, trace = rr(inst)
         return matching, inst, trace
@@ -210,7 +213,8 @@ def _run_rule(rule: str, inst: Instance, doc: dict, args):
     if rule == "da":
         if not args.prefs:
             raise PreconditionError("rule da needs --prefs <path>")
-        prefs_doc = decode_json(_read(args.prefs), "preferences file is not UTF-8: ", "")
+        prefs_doc = decode_json(_read(args.prefs), "preferences file is not UTF-8: ",
+                                "invalid preferences JSON: ")
         if isinstance(prefs_doc, dict) and "prefs" in prefs_doc:
             prefs_doc = prefs_doc["prefs"]
         if not isinstance(prefs_doc, dict):
@@ -294,7 +298,12 @@ def cmd_check(args) -> int:
     if args.rule:
         matching, work, _ = _run_rule(args.rule, inst, doc, args)
     else:
+        if args.prefs is not None:
+            raise ValidationError("--prefs applies to da, not a fixed matching")
         work = apply_split_flag(inst, args.split)
+        if args.split is not None and not work.has_unreserved:
+            raise ValidationError("--split given, but the instance has no unreserved "
+                                  "category to split")
         matching = parse_matching_doc(work, _read(args.matching))
     if args.axioms == "all":
         requested = tuple(a for a in requested

@@ -222,9 +222,6 @@ class Matching:
     def size(self) -> int:
         return len(self.assignment)
 
-    def category_of(self, i: int) -> int | None:
-        return self.assignment.get(i)
-
     def is_matched(self, i: int) -> bool:
         return i in self.assignment
 
@@ -263,45 +260,16 @@ def validate_matching(inst: Instance, m: Matching) -> None:
 # Manipulations (priority decreases)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CategoryEdit:
-    """One category's report change: ``hide`` drops the agent below the empty
-    slot; ``demote`` joins an existing lower tier (index in the old tier list)."""
-
-    action: str  # "hide" | "demote"
-    tier: int | None = None
-
-
-@dataclass(frozen=True)
-class Manipulation:
-    agent: int
-    edits: tuple[tuple[int, CategoryEdit], ...]  # (category id, edit), category-sorted
-
-
-def _apply_edit(ranking: PriorityRanking, agent: int, edit: CategoryEdit) -> PriorityRanking:
-    tiers = [list(t) for t in ranking.tiers]
-    cutoff = ranking.cutoff
-    ti = next((t for t, tier in enumerate(tiers) if agent in tier), None)
-
-    if edit.action == "hide":
-        if ti is not None:
-            tiers[ti].remove(agent)
-        tiers.append([agent])  # strictly below every ranked agent and the empty slot
-    elif edit.action == "demote":
-        if ti is None:
-            raise ValidationError(f"agent {agent} is not ranked, cannot demote")
-        if edit.tier is None or not ti < edit.tier < len(tiers):
-            raise ValidationError(f"demotion target {edit.tier} is not strictly below tier {ti}")
-        tiers[edit.tier].append(agent)
-        tiers[ti].remove(agent)
-    else:
-        raise ValidationError(f"unknown edit action {edit.action!r}")
-
-    if ti is not None and not tiers[ti]:
-        del tiers[ti]
-        if ti < cutoff:
-            cutoff -= 1
-    return PriorityRanking(tuple(tuple(t) for t in tiers), cutoff)
+def _moved(ranking: PriorityRanking, agent: int, target: int) -> PriorityRanking:
+    """``ranking`` with the ranked ``agent`` moved into old tier ``target``;
+    ``len(ranking.tiers)`` opens a new last tier, below the empty slot. A tier
+    she leaves empty is dropped."""
+    tiers = [list(t) for t in ranking.tiers] + [[]]
+    ti = ranking._tier_of[agent]
+    tiers[target].append(agent)
+    tiers[ti].remove(agent)
+    cutoff = ranking.cutoff - (ti < ranking.cutoff and not tiers[ti])
+    return PriorityRanking(tuple(tuple(t) for t in tiers if t), cutoff)
 
 
 def priority_decrease_holds(old: Instance, new: Instance, agent: int) -> bool:
@@ -327,20 +295,22 @@ def priority_decrease_holds(old: Instance, new: Instance, agent: int) -> bool:
     return True
 
 
-def apply_manipulation(inst: Instance, m: Manipulation) -> Instance:
-    """Apply a report change; reject anything that is not a pure priority decrease."""
-    if not 0 <= m.agent < inst.n:
-        raise ValidationError(f"unknown agent id {m.agent}")
+def apply_manipulation(inst: Instance, agent: int,
+                       rankings: dict[int, PriorityRanking]) -> Instance:
+    """``inst`` with ``agent``'s report changed to the given {category id:
+    ranking} map; reject anything that is not a pure priority decrease."""
+    if not 0 <= agent < inst.n:
+        raise ValidationError(f"unknown agent id {agent}")
     cats = list(inst.categories)
-    for c, edit in m.edits:
+    for c, ranking in rankings.items():
         if not 0 <= c < len(cats):
             raise ValidationError(f"unknown category id {c}")
         if cats[c].kind.is_unreserved:
             raise ValidationError("unreserved rankings are fixed to the baseline")
-        cats[c] = replace(cats[c], ranking=_apply_edit(cats[c].ranking, m.agent, edit))
+        cats[c] = replace(cats[c], ranking=ranking)
     out = Instance(inst.agent_names, tuple(cats), inst.baseline)
-    if not priority_decrease_holds(inst, out, m.agent):
-        raise ValidationError("edit would raise the agent's priority")
+    if not priority_decrease_holds(inst, out, agent):
+        raise ValidationError("rankings would raise the agent's priority")
     return out
 
 
@@ -349,42 +319,27 @@ def enumerate_priority_decreases(inst: Instance, i: int, budget: int = 8) -> Ite
 
     Every nonempty hide-subset of ``i``'s eligible preferential categories is
     always produced; one-tier-down demotions are appended while the total
-    yield stays within ``budget``. Order is deterministic.
+    yield stays within ``budget``. Order is deterministic. The outputs are
+    distinct without a check: each hide leaves ``i`` alone in a new last
+    tier of its categories, and each demotion moves her into an existing
+    tier of one category.
     """
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
-    hide = CategoryEdit("hide")
-    elig = [c for c in inst.eligible_categories(i)
-            if not inst.categories[c].kind.is_unreserved]
-    seen: set[tuple] = set()
-    produced = 0
+    rankings = {c: inst.categories[c].ranking for c in inst.preferential_ids}
+    hidden = {c: _moved(r, i, len(r.tiers)) for c, r in rankings.items() if r.is_eligible(i)}
+    for mask in range(1, 1 << len(hidden)):
+        yield apply_manipulation(inst, i, {c: r for b, (c, r) in enumerate(hidden.items())
+                                           if mask >> b & 1})
 
-    def key(out: Instance) -> tuple:
-        return tuple((c.ranking.tiers, c.ranking.cutoff) for c in out.categories)
-
-    for mask in range(1, 1 << len(elig)):
-        subset = tuple(c for b, c in enumerate(elig) if mask >> b & 1)
-        out = apply_manipulation(inst, Manipulation(i, tuple((c, hide) for c in subset)))
-        k = key(out)
-        if k not in seen:
-            seen.add(k)
-            produced += 1
-            yield out
-
-    for c, cat in enumerate(inst.categories):
-        if cat.kind.is_unreserved:
-            continue
-        ti = next((t for t, tier in enumerate(cat.ranking.tiers) if i in tier), None)
-        if ti is None or ti + 1 >= len(cat.ranking.tiers):
-            continue
+    produced = (1 << len(hidden)) - 1
+    for c, r in rankings.items():
         if produced >= budget:
             break
-        out = apply_manipulation(inst, Manipulation(i, ((c, CategoryEdit("demote", ti + 1)),)))
-        k = key(out)
-        if k not in seen:
-            seen.add(k)
+        ti = r._tier_of.get(i)
+        if ti is not None and ti + 1 < len(r.tiers):
             produced += 1
-            yield out
+            yield apply_manipulation(inst, i, {c: _moved(r, i, ti + 1)})
 
 
 # ---------------------------------------------------------------------------

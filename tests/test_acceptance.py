@@ -15,7 +15,7 @@ from reserves.axioms import (check_eligibility, check_max_beneficiary,
                              check_weak_nonbossiness)
 from reserves.generator import random_instance
 from reserves.graph import max_matching_size, reservation_graph
-from reserves.model import CategoryEdit, Manipulation, apply_manipulation
+from reserves.model import PriorityRanking, apply_manipulation
 from reserves.oracle import enumerate_matchings, verify_characterization
 from reserves.rules import (deferred_acceptance, minimum_guarantees, over_and_above,
                             rr, srr)
@@ -66,7 +66,7 @@ def test_criterion_4_reserve_rule_goldens(reserve, early_pool):
 def test_criterion_5_hiding_changes_others_but_weak_nonbossiness_holds(scan):
     truthful, _ = rr(scan)
     assert names_of(scan, truthful) == {"1": "c1", "3": "c2"}
-    hidden = apply_manipulation(scan, Manipulation(3, ((0, CategoryEdit("hide")),)))
+    hidden = apply_manipulation(scan, 3, {0: PriorityRanking(((0,), (1,), (3,)), 2)})
     after, _ = rr(hidden)
     assert names_of(hidden, after) == {"1": "c2", "2": "c1"}
     # the matched set changed, so the unqualified non-bossiness property fails

@@ -232,6 +232,11 @@ def test_split_without_unreserved_pair_stays_a_precondition_error(tmp_path, caps
     assert "unreserved category pair" in capsys.readouterr().err
 
 
+def test_matching_split_without_unreserved_pair_is_an_input_error(tmp_path, capsys):
+    assert "no unreserved category" in input_error(capsys, with_files(tmp_path, [
+        "check", "--instance", RUNNING_DOC, "--matching", {}, "--split", "1,1"]))
+
+
 @pytest.mark.parametrize("rule", ["rr", "mg", "oaa", "da"])
 def test_split_flag_is_an_input_error_for_other_rules(tmp_path, capsys, rule):
     # mg and oaa fix their own split; rr and da have none
@@ -241,6 +246,17 @@ def test_split_flag_is_an_input_error_for_other_rules(tmp_path, capsys, rule):
                 command, "--rule", rule, "--instance", RESERVE_DOC, "--split", split,
                 "--prefs", {"prefs": {}}]))
             assert err == f"error: --split applies to srr and soft, not {rule!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--rule", rule] for command in ("allocate", "check")
+      for rule in ("rr", "srr", "mg", "oaa", "soft")),
+    ["check", "--matching", {}],
+])
+def test_prefs_flag_is_an_input_error_except_for_da(tmp_path, capsys, argv):
+    err = input_error(capsys, with_files(tmp_path, [
+        *argv, "--instance", RESERVE_DOC, "--prefs", str(tmp_path / "missing.json")]))
+    assert err.startswith("error: --prefs applies to da, not ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -273,6 +289,15 @@ def test_non_utf8_prefs_file(tmp_path, capsys):
     prefs.write_bytes(b'{"prefs": {"1": ["\xff"]}}')
     assert "not UTF-8" in input_error(
         capsys, ["allocate", "--rule", "da", "--instance", inst, "--prefs", str(prefs)])
+
+
+def test_malformed_prefs_file_is_named(tmp_path, capsys):
+    inst = write(tmp_path, "i.json", RESERVE_DOC)
+    prefs = tmp_path / "p.json"
+    prefs.write_text("{")
+    assert input_error(capsys, [
+        "allocate", "--rule", "da", "--instance", inst, "--prefs", str(prefs)
+    ]).startswith("error: invalid preferences JSON: ")
 
 
 def test_category_list_must_be_an_array(tmp_path, capsys):

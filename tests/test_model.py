@@ -4,11 +4,15 @@ import pytest
 
 from conftest import RUNNING_DOC, SCAN_DOC, make_instance
 from reserves.generator import random_instance
-from reserves.model import (EMPTY, CategoryEdit, Instance, Manipulation, Matching,
-                            ParseError, ValidationError, apply_manipulation,
+from reserves.model import (EMPTY, Instance, Matching, ParseError, PriorityRanking,
+                            ValidationError, apply_manipulation,
                             enumerate_priority_decreases, parse_instance,
                             priority_decrease_holds, serialize_instance,
                             strictly_prefers, validate_matching)
+
+# c1 of SCAN_DOC after agent 4 hides: agent 2 moves up to the second tier
+# and agent 4 drops below the empty slot
+SCAN_C1_HIDDEN = PriorityRanking(((0,), (1,), (3,)), 2)
 
 
 def test_parse_running_example_eligibility(running):
@@ -83,28 +87,25 @@ def test_unreserved_always_eligible(reserve):
 
 
 def test_apply_hide_moves_below_everyone(scan):
-    out = apply_manipulation(scan, Manipulation(3, ((0, CategoryEdit("hide")),)))
-    r = out.categories[0].ranking
-    # agent 2 moves up to the second tier; agent 4 drops below the empty slot
-    assert r.tiers == ((0,), (1,), (3,)) and r.cutoff == 2
+    out = apply_manipulation(scan, 3, {0: SCAN_C1_HIDDEN})
+    assert list(enumerate_priority_decreases(scan, 3, budget=0)) == [out]
     assert not out.eligible(3, 0)
     assert out.categories[1] == scan.categories[1]
 
 
 def test_apply_identity_manipulation(scan):
-    assert apply_manipulation(scan, Manipulation(3, ())) == scan
+    assert apply_manipulation(scan, 3, {}) == scan
 
 
 def test_apply_rejects_priority_raise(scan):
-    # agent 2 sits in the third tier of c1; "demoting" to a lower index is a raise
+    # agent 2 sits in the third tier of c1; joining the first tier is a raise
     with pytest.raises(ValidationError):
-        apply_manipulation(scan, Manipulation(1, ((0, CategoryEdit("demote", 0)),)))
+        apply_manipulation(scan, 1, {0: PriorityRanking(((0, 1), (3,)), 2)})
 
 
 def test_demote_one_tier(scan):
-    out = apply_manipulation(scan, Manipulation(3, ((0, CategoryEdit("demote", 2)),)))
-    r = out.categories[0].ranking
-    assert r.tiers == ((0,), (1, 3)) and r.cutoff == 2
+    out = apply_manipulation(scan, 3, {0: PriorityRanking(((0,), (1, 3)), 2)})
+    assert list(enumerate_priority_decreases(scan, 3, budget=2))[1:] == [out]
     assert out.eligible(3, 0)
     assert priority_decrease_holds(scan, out, 3)
 
@@ -123,17 +124,23 @@ def test_enumerate_empty_when_nothing_to_lower():
 
 
 def test_enumerate_includes_hide_instance(scan):
-    target = apply_manipulation(scan, Manipulation(3, ((0, CategoryEdit("hide")),)))
+    target = apply_manipulation(scan, 3, {0: SCAN_C1_HIDDEN})
     outs = list(enumerate_priority_decreases(scan, 3, budget=10))
     assert any(o == target for o in outs)
 
 
 def test_enumerate_all_outputs_are_decreases():
+    # the second instance per seed has ties, an unreserved pair and a budget
+    # above the 2^3 - 1 hides plus 3 demotions, so every demotion is made
     for seed in range(30):
-        inst = random_instance(5, 2, seed=seed, eligibility_density=0.6, tie_prob=0.3)
-        for i in range(inst.n):
-            for out in enumerate_priority_decreases(inst, i, budget=6):
-                assert priority_decrease_holds(inst, out, i)
+        for inst, budget in (
+                (random_instance(5, 2, seed=seed, eligibility_density=0.6, tie_prob=0.3), 6),
+                (random_instance(6, 3, seed=seed, eligibility_density=0.6, tie_prob=0.5,
+                                 unreserved=2, split=(1, 1)), 11)):
+            for i in range(inst.n):
+                outs = list(enumerate_priority_decreases(inst, i, budget=budget))
+                assert all(priority_decrease_holds(inst, out, i) for out in outs)
+                assert len(set(outs)) == len(outs)
 
 
 def test_enumerate_is_deterministic(scan):
