@@ -6,18 +6,20 @@ configurable count. The two harnesses re-run a rule, named as on the command
 line (``rr``, ``srr`` or ``soft``, the keys of ``HARNESS_RULES``), under
 enumerated priority decreases of unmatched agents, so their verdicts are
 relative to the tested manipulation space. srr and soft run at the split the
-instance carries, which every manipulated instance keeps.
+instance carries, which every manipulated instance keeps. A manipulated
+instance outside the rule's domain is a report the agent cannot make under
+that rule: it is skipped, and the report's note counts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .graph import _RejectionEngine
 from .model import (Instance, Matching, ValidationError,
                     enumerate_priority_decreases, validate_matching)
-from .rules import rr, soft_reserves, srr
+from .rules import PreconditionError, rr, soft_reserves, srr
 
 MAX_WITNESSES = 10
 
@@ -192,6 +194,26 @@ def _rule_fn(rule: str) -> Callable[[Instance], Matching]:
     return HARNESS_RULES[rule]
 
 
+def _manipulated_outcomes(fn: Callable[[Instance], Matching], inst: Instance, agent: int,
+                          budget: int) -> Iterator[tuple[int, Optional[Matching]]]:
+    """(index, rule outcome) for each enumerated priority decrease of
+    ``agent``; the outcome is None where the manipulated instance is outside
+    the rule's domain."""
+    for idx, manipulated in enumerate(enumerate_priority_decreases(inst, agent, budget)):
+        try:
+            after = fn(manipulated)
+        except PreconditionError:
+            after = None
+        yield idx, after
+
+
+def _harness_note(budget: int, skipped: int) -> str:
+    note = f"within tested manipulation space (hide subsets + demotions, budget={budget})"
+    if skipped:
+        note += f"; {skipped} manipulated instances outside the rule's domain skipped"
+    return note
+
+
 def check_strategyproofness(rule: str, inst: Instance, budget: int = 8,
                             max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
     """No unmatched agent may become matched by lowering her own reports.
@@ -202,14 +224,16 @@ def check_strategyproofness(rule: str, inst: Instance, budget: int = 8,
     fn = _rule_fn(rule)
     base = fn(inst)
     bad = []
+    skipped = 0
     for i in range(inst.n):
         if base.is_matched(i):
             continue
-        for idx, manipulated in enumerate(enumerate_priority_decreases(inst, i, budget)):
-            if fn(manipulated).is_matched(i):
+        for idx, after in _manipulated_outcomes(fn, inst, i, budget):
+            if after is None:
+                skipped += 1
+            elif after.is_matched(i):
                 bad.append(ManipulationWitness(i, idx, False, True))
-    note = f"within tested manipulation space (hide subsets + demotions, budget={budget})"
-    return _report("strategyproofness", bad, max_witnesses, note)
+    return _report("strategyproofness", bad, max_witnesses, _harness_note(budget, skipped))
 
 
 def check_weak_nonbossiness(rule: str, inst: Instance, budget: int = 8,
@@ -219,16 +243,18 @@ def check_weak_nonbossiness(rule: str, inst: Instance, budget: int = 8,
     fn = _rule_fn(rule)
     base = fn(inst)
     bad = []
+    skipped = 0
     for i in range(inst.n):
         if base.is_matched(i):
             continue
         below = [j for j in range(inst.n)
                  if inst.baseline_pos[i] < inst.baseline_pos[j]]
-        for idx, manipulated in enumerate(enumerate_priority_decreases(inst, i, budget)):
-            after = fn(manipulated)
+        for idx, after in _manipulated_outcomes(fn, inst, i, budget):
+            if after is None:
+                skipped += 1
+                continue
             for j in below:
                 if base.is_matched(j) != after.is_matched(j):
                     bad.append(NonBossinessWitness(i, idx, j, base.is_matched(j),
                                                    after.is_matched(j)))
-    note = f"within tested manipulation space (hide subsets + demotions, budget={budget})"
-    return _report("weak_nonbossiness", bad, max_witnesses, note)
+    return _report("weak_nonbossiness", bad, max_witnesses, _harness_note(budget, skipped))

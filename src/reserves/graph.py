@@ -48,8 +48,8 @@ class _RejectionEngine:
     column ``j`` is category ``cat_ids[j]`` with capacity ``quotas[j]``. An
     edge is live while its agent is alive and its position is at most its
     column's threshold, which pruning lowers. Agents are scanned in ``order``.
-    ``reset`` returns the engine to its freshly built state under a new order,
-    so one engine can serve many scan orders of the same rows.
+    Each ``test_remove`` pushes a snapshot that its ``keep`` or ``undo``
+    pops, so tests may nest and be undone innermost first.
     """
 
     def __init__(self, rows: Sequence[Iterable[tuple[int, int]]], cat_ids: Sequence[int],
@@ -72,25 +72,12 @@ class _RejectionEngine:
         self.slot_base = [0, *accumulate(self.cap)][:n_cols]
         self.thr = [_kernels.THR_INF] * n_cols
         active = set(active)
-        self._active = [a in active for a in range(n)]
-        self.alive = self._active[:]
+        self.alive = [a in active for a in range(n)]
         self.order = list(order)
         self.match, self.used, self.slots = self._solve()
         self._args = (self.indptr, self.cats, self.epos, self.thr, self.cap,
                       self.used, self.slot_base, self.slots)
-        self._snap = None
-
-    def reset(self, order: Iterable[int]) -> "_RejectionEngine":
-        """Revive every agent alive at construction, lift all pruning and
-        re-solve scanning in ``order``: the engine a fresh build on the same
-        rows with that order would give. The lists are updated in place,
-        since ``_args`` holds them."""
-        self.alive[:] = self._active
-        self.thr[:] = [_kernels.THR_INF] * len(self.thr)
-        self.order = list(order)
-        self._snap = None
-        self.match[:], self.used[:], self.slots[:] = self._solve()
-        return self
+        self._snaps: list[tuple] = []
 
     @classmethod
     def of(cls, inst: Instance, cat_ids: Sequence[int]) -> "_RejectionEngine":
@@ -125,7 +112,8 @@ class _RejectionEngine:
 
     def test_remove(self, i: int, prune: bool) -> int:
         """Tentatively drop agent ``i`` (pruning outranked edges when asked)
-        and return the new maximum matching size. Follow with keep()/undo().
+        and return the new maximum matching size. Follow with keep()/undo(),
+        possibly after further tests that are themselves kept or undone.
 
         Only the pairs that die are unmatched: ``i``'s own and, in a column
         whose threshold pruning lowers, those of agents now ranked below it.
@@ -133,7 +121,7 @@ class _RejectionEngine:
         the current size: if no pair died the matching is still maximum, and
         otherwise re-augmentation stops once the lost pairs are made up."""
         match, thr, used, slots, alive = self.match, self.thr, self.used, self.slots, self.alive
-        self._snap = (i, match[:], thr[:], used[:], slots[:])
+        self._snaps.append((i, match[:], thr[:], used[:], slots[:]))
         alive[i] = False
         hit = set()  # columns that may hold a dead pair
         if match[i] >= 0:
@@ -164,16 +152,18 @@ class _RejectionEngine:
         return self.size()
 
     def keep(self) -> None:
-        self._snap = None
+        """Commit the latest pending test_remove."""
+        self._snaps.pop()
 
     def undo(self) -> None:
-        i, match, thr, used, slots = self._snap
+        """Revert the latest pending test_remove (the lists are restored in
+        place, since ``_args`` holds them)."""
+        i, match, thr, used, slots = self._snaps.pop()
         self.match[:] = match
         self.thr[:] = thr
         self.used[:] = used
         self.slots[:] = slots
         self.alive[i] = True
-        self._snap = None
 
     def fresh_matching(self) -> Matching:
         """Deterministic maximum matching of the current reduced graph,

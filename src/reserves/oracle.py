@@ -3,23 +3,23 @@
 Enumerates every eligibility-compliant matching directly from the instance
 (no shared code with the matching kernels), computes the set of matchings
 that also respect priorities and have maximum size, and compares it against
-the union of rejection-scan outcomes over every baseline ordering. One
-matching engine is built per instance and reset to each ordering, and rr's
-own scan runs on every ordering; each distinct final reduced graph has its
-maximum matchings enumerated once. Hard bounds guard the factorial and
-exponential enumerations.
+the union of rejection-scan outcomes over every baseline ordering. The
+orderings are not run one by one: a scan step's decision depends only on
+the agents already rejected and the agent tested, so one matching engine
+walks the scan states (rejected, scanned) depth-first, expanding each once,
+and every ordering's scan is one path through them. Each distinct final
+reduced graph has its maximum matchings enumerated once. Hard bounds guard
+the exponential enumerations.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .axioms import check_respect_priorities
 from .graph import ReservationGraph, _RejectionEngine, reduced_graph, reservation_graph
 from .model import Instance, Kind, Matching
-from .rules import _rr_trace
 
 #: canonical form of a matching: sorted (agent, category) pairs
 Canonical = tuple[tuple[int, int], ...]
@@ -72,14 +72,18 @@ def _graph_matchings(g: ReservationGraph) -> Iterator[dict[int, int]]:
 
 def axiom_satisfying_set(inst: Instance, max_agents: int = MAX_ENUM_AGENTS) -> MatchingSet:
     """All eligibility-compliant, priority-respecting matchings of maximum
-    size, with the maximum taken by enumeration (independent of the kernels)."""
+    size, with the maximum taken by enumeration (independent of the kernels).
+    Priorities are checked only on the matchings of maximum size."""
     best = 0
-    respecting: list[tuple[int, Canonical]] = []
+    largest: list[Matching] = []
     for m in enumerate_matchings(inst, max_agents):
-        best = max(best, m.size())
-        if check_respect_priorities(inst, m).holds:
-            respecting.append((m.size(), m.canonical()))
-    return frozenset(c for s, c in respecting if s == best)
+        size = m.size()
+        if size > best:
+            best, largest = size, []
+        if size == best:
+            largest.append(m)
+    return frozenset(m.canonical() for m in largest
+                     if check_respect_priorities(inst, m).holds)
 
 
 def _symmetrize(inst: Instance) -> Instance:
@@ -93,23 +97,16 @@ def rr_outcome_set(inst: Instance, max_agents: int = MAX_ORDERING_AGENTS) -> Mat
     """Union over every baseline ordering of all maximum matchings of the
     final reduced graph left by the rejection scan.
 
-    One engine is built on the symmetrized instance and reset to each
-    ordering, and rr's scan runs on every ordering. Every category of the
-    symmetrized instance has a fixed ranking, so the engine's rows do not
-    depend on the ordering, the reduced graph's edges depend only on the
-    rejected set, and its matchings are enumerated once per distinct set.
+    The final rejected sets come from ``_final_rejected_sets`` on the
+    symmetrized instance, whose categories all have fixed rankings, so the
+    reduced graph's edges depend only on the rejected set and its matchings
+    are enumerated once per distinct set.
     """
     if inst.n > max_agents:
         raise OracleBoundError(f"instance has {inst.n} agents, bound is {max_agents}")
     base = _symmetrize(inst)
-    engine = _RejectionEngine.of(base, range(len(base.categories)))
     out: set[Canonical] = set()
-    seen: set[frozenset[int]] = set()
-    for perm in itertools.permutations(range(inst.n)):
-        rejected = _rr_trace(engine.reset(perm)).rejected
-        if rejected in seen:
-            continue
-        seen.add(rejected)
+    for rejected in _final_rejected_sets(base):
         g = reduced_graph(base, rejected=rejected)
         matchings = list(_graph_matchings(g))
         ms = max((len(m) for m in matchings), default=0)
@@ -117,6 +114,44 @@ def rr_outcome_set(inst: Instance, max_agents: int = MAX_ORDERING_AGENTS) -> Mat
             if len(m) == ms:
                 out.add(tuple(sorted(m.items())))
     return frozenset(out)
+
+
+def _final_rejected_sets(inst: Instance) -> set[frozenset[int]]:
+    """The rejected sets the rejection scan ends with, over every ordering
+    of the agents of ``inst`` (whose categories must all have fixed rankings).
+
+    After rejecting a set R the reduced graph depends on R alone (the live
+    agents and each category's threshold), and so does its maximum size.
+    Scanning agent i then rejects her exactly when the graph of R + {i}
+    keeps the full graph's maximum: a decision fixed by (R, i). So the scan
+    of an ordering is one path through the states (rejected, scanned), every
+    complete path is the scan of some ordering, and a depth-first walk that
+    expands each state once finds every final rejected set. The engine goes
+    deeper while a rejecting test is pending and undoes it on the way back.
+    """
+    engine = _RejectionEngine.of(inst, range(len(inst.categories)))
+    target = engine.size()
+    everyone = frozenset(range(inst.n))
+    seen: set[tuple[frozenset[int], frozenset[int]]] = set()
+    finals: set[frozenset[int]] = set()
+
+    def walk(rejected: frozenset[int], scanned: frozenset[int]) -> None:
+        if (rejected, scanned) in seen:
+            return
+        seen.add((rejected, scanned))
+        if scanned == everyone:
+            finals.add(rejected)
+            return
+        for i in everyone - scanned:
+            if engine.test_remove(i, prune=True) == target:
+                walk(rejected | {i}, scanned | {i})
+                engine.undo()
+            else:
+                engine.undo()
+                walk(rejected, scanned | {i})
+
+    walk(frozenset(), frozenset())
+    return finals
 
 
 @dataclass(frozen=True)

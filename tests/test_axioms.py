@@ -11,7 +11,7 @@ from reserves.generator import random_instance
 from reserves.graph import reduced_graph
 from reserves.model import Matching, ValidationError
 from reserves.oracle import enumerate_matchings
-from reserves.rules import rr
+from reserves.rules import PreconditionError, rr
 
 # matchings of the running example, keyed by the usual enumeration
 MU = {
@@ -183,6 +183,31 @@ def test_weak_nonbossiness_scan_instance(scan):
     # hiding c1 changes who is matched (full non-bossiness fails) but the
     # manipulating agent is last in the baseline, so the weak form holds
     assert check_weak_nonbossiness("rr", scan, budget=8).holds
+
+
+def test_harnesses_skip_manipulations_outside_soft_domain():
+    # a hide puts the agent below the agents absent from the ranking, which
+    # soft rejects against the baseline: that report is not available to her
+    inst = random_instance(5, 2, seed=7, unreserved=1, split=(0, 1))
+    for check in (check_strategyproofness, check_weak_nonbossiness):
+        soft = check("soft", inst, budget=8)
+        assert soft.holds
+        assert soft.note.endswith("; 2 manipulated instances outside the rule's domain skipped")
+        for rule in ("rr", "srr"):
+            assert check(rule, inst, budget=8).note == \
+                "within tested manipulation space (hide subsets + demotions, budget=8)"
+
+
+def test_harness_still_rejects_unmanipulated_instance_outside_domain():
+    doc = {"agents": ["a", "b", "x"], "baseline": ["a", "b", "x"],
+           "categories": [
+               {"name": "c", "quota": 1, "kind": "preferential",
+                "tiers": [["a"], ["x"], ["b"]], "cutoff": 1},
+               {"name": "u", "quota": 0, "kind": "unreserved"}]}
+    inst = make_instance(doc).with_split(0, 0)
+    for check in (check_strategyproofness, check_weak_nonbossiness):
+        with pytest.raises(PreconditionError):
+            check("soft", inst)
 
 
 def test_weak_nonbossiness_random():

@@ -137,6 +137,19 @@ def test_harness_error_names_cli_rules(tmp_path, capsys):
     assert "'soft'" in err and "soft_reserves" not in err and "'mg'" in err
 
 
+def test_soft_harnesses_skip_unavailable_reports(tmp_path, capsys):
+    inst = str(tmp_path / "i.json")
+    assert main(["gen", "--agents", "5", "--categories", "2", "--seed", "7",
+                 "--unreserved", "1", "--out", inst]) == 0
+    code, reports = run(capsys, ["check", "--rule", "soft", "--instance", inst,
+                                 "--split", "0,1", "--axioms",
+                                 "strategyproofness,weak_nonbossiness"])
+    assert code == 0
+    assert [r["axiom"] for r in reports] == HARNESS_NAMES
+    assert all("2 manipulated instances outside the rule's domain skipped" in r["note"]
+               for r in reports)
+
+
 def test_check_da_max_size_gap(tmp_path, capsys):
     inst = write(tmp_path, "i.json", RUNNING_DOC)
     prefs = write(tmp_path, "p.json", {"prefs": {"2": ["c1", "c2"], "3": ["c1"]}})

@@ -11,7 +11,7 @@ from reserves.model import Instance
 from reserves.oracle import (OracleBoundError, axiom_satisfying_set,
                              enumerate_matchings, rr_outcome_set,
                              verify_characterization)
-from reserves.rules import RrTrace, _rr_trace, rr
+from reserves.rules import rr
 
 
 def test_enumerates_exactly_the_five_running_matchings(running):
@@ -114,25 +114,30 @@ def test_outcome_set_equals_plain_union_over_orderings():
     assert varied >= 3
 
 
-def test_reset_engine_is_the_rule():
-    """One engine reset to each ordering scans exactly as rr on the rebased
-    instance, and starts each scan in the state of a fresh build."""
+def test_walk_final_sets_are_the_scans_rejected_sets():
+    """The state walk ends on exactly the rejected sets rr reaches over
+    every ordering of the symmetrized instance."""
     with_unreserved = 0
     for seed in range(20):
         inst = random_instance(3 + seed % 4, 2, seed=seed, eligibility_density=0.6,
                                tie_prob=0.4, unreserved=seed % 3)
         with_unreserved += inst.has_unreserved
         base = oracle._symmetrize(inst)
-        cats = range(len(base.categories))
-        engine = _RejectionEngine.of(base, cats)
-        for perm in itertools.permutations(range(inst.n)):
-            rebased = Instance(base.agent_names, base.categories, perm)
-            engine.reset(perm)
-            fresh = _RejectionEngine.of(rebased, cats)
-            for attr in ("match", "used", "slots", "thr", "alive"):
-                assert getattr(engine, attr) == getattr(fresh, attr), (seed, perm, attr)
-            assert _rr_trace(engine) == rr(rebased)[1], (seed, perm)
+        expected = {rr(Instance(base.agent_names, base.categories, perm))[1].rejected
+                    for perm in itertools.permutations(range(inst.n))}
+        assert oracle._final_rejected_sets(base) == expected, seed
     assert with_unreserved >= 10
+
+
+def test_outcome_set_equals_plain_union_at_seven_tied_agents():
+    inst = random_instance(7, 2, seed=2, eligibility_density=0.6, tie_prob=0.5,
+                           unreserved=2)
+    assert inst.has_unreserved and any(
+        len(tier) > 1 for c in inst.categories for tier in c.ranking.tiers)
+    expected, rejected_sets = _plain_outcome_union(inst)
+    assert rr_outcome_set(inst) == expected
+    # 5 distinct final reduced graphs, 8 outcomes
+    assert len(rejected_sets) == 5 and len(expected) == 8
 
 
 def test_bounds_are_enforced():
@@ -144,22 +149,27 @@ def test_bounds_are_enforced():
 
 
 def test_characterization_at_eight_agents():
-    inst = random_instance(8, 2, max_quota=2, eligibility_density=0.6, tie_prob=0.4,
-                           seed=1, unreserved=0)
-    assert verify_characterization(inst, 8).ok
+    for seed in range(12):
+        inst = random_instance(8, 2 + seed % 4, max_quota=2, eligibility_density=0.6,
+                               tie_prob=0.4 * (seed % 2), seed=seed, unreserved=seed % 3)
+        assert verify_characterization(inst, 8).ok, seed
 
 
 def test_corrupted_scan_is_detected(scan, monkeypatch):
-    """Dropping one rejection from the scan must surface as a discrepancy."""
-    real_trace = _rr_trace
+    """An engine that under-reports its first rejecting test must surface as
+    a discrepancy."""
+    real_test_remove = _RejectionEngine.test_remove
+    corrupted = []
 
-    def skip_first_rejection(engine):
-        trace = real_trace(engine)
-        rejected = sorted(trace.rejected)
-        if rejected:
-            rejected = rejected[1:]
-        return RrTrace(frozenset(rejected), trace.decisions, trace.ms_total)
+    def miss_first_rejection(engine, i, prune):
+        before = engine.size()
+        size = real_test_remove(engine, i, prune)
+        if size == before and not corrupted:
+            corrupted.append(i)
+            return size - 1
+        return size
 
-    monkeypatch.setattr(oracle, "_rr_trace", skip_first_rejection)
+    monkeypatch.setattr(_RejectionEngine, "test_remove", miss_first_rejection)
     rep = verify_characterization(scan)
+    assert corrupted
     assert not rep.ok and rep.only_rule_side
