@@ -6,10 +6,10 @@ that also respect priorities and have maximum size, and compares it against
 the union of rejection-scan outcomes over every baseline ordering. The
 orderings are not run one by one: a scan step's decision depends only on
 the agents already rejected and the agent tested, so one matching engine
-walks the scan states (rejected, scanned) depth-first, expanding each once,
-and every ordering's scan is one path through them. Each distinct final
-reduced graph has its maximum matchings enumerated once. Hard bounds guard
-the exponential enumerations.
+walks the scan states (rejected, unscanned) depth-first, expanding each
+once, and every ordering's scan is one path through them. Each distinct
+final reduced graph has its maximum matchings enumerated once. Hard bounds
+guard the exponential enumerations.
 """
 
 from __future__ import annotations
@@ -124,34 +124,34 @@ def _final_rejected_sets(inst: Instance) -> set[frozenset[int]]:
     agents and each category's threshold), and so does its maximum size.
     Scanning agent i then rejects her exactly when the graph of R + {i}
     keeps the full graph's maximum: a decision fixed by (R, i). So the scan
-    of an ordering is one path through the states (rejected, scanned), every
-    complete path is the scan of some ordering, and a depth-first walk that
-    expands each state once finds every final rejected set. The engine goes
-    deeper while a rejecting test is pending and undoes it on the way back.
+    of an ordering is one path through the states (rejected, unscanned),
+    every complete path is the scan of some ordering, and a depth-first walk
+    that expands each state once finds every final rejected set.
     """
     engine = _RejectionEngine.of(inst, range(len(inst.categories)))
-    target = engine.size()
-    everyone = frozenset(range(inst.n))
     seen: set[tuple[frozenset[int], frozenset[int]]] = set()
-    finals: set[frozenset[int]] = set()
+    _walk_scan_states(engine, engine.size(), frozenset(), frozenset(range(inst.n)), seen)
+    return {rejected for rejected, unscanned in seen if not unscanned}
 
-    def walk(rejected: frozenset[int], scanned: frozenset[int]) -> None:
-        if (rejected, scanned) in seen:
-            return
-        seen.add((rejected, scanned))
-        if scanned == everyone:
-            finals.add(rejected)
-            return
-        for i in everyone - scanned:
-            if engine.test_remove(i, prune=True) == target:
-                walk(rejected | {i}, scanned | {i})
-                engine.undo()
-            else:
-                engine.undo()
-                walk(rejected, scanned | {i})
 
-    walk(frozenset(), frozenset())
-    return finals
+def _walk_scan_states(engine: _RejectionEngine, target: int, rejected: frozenset[int],
+                      unscanned: frozenset[int],
+                      seen: set[tuple[frozenset[int], frozenset[int]]]) -> None:
+    """Add the state (rejected, unscanned) and every state reachable from it
+    to ``seen``, expanding none twice. The engine holds the graph after
+    rejecting ``rejected``; it goes deeper while a rejecting test is pending
+    and undoes the test on the way back."""
+    if (rejected, unscanned) in seen:
+        return
+    seen.add((rejected, unscanned))
+    for i in unscanned:
+        rest = unscanned - {i}
+        if engine.test_remove(i, prune=True) == target:
+            _walk_scan_states(engine, target, rejected | {i}, rest, seen)
+            engine.undo()
+        else:
+            engine.undo()
+            _walk_scan_states(engine, target, rejected, rest, seen)
 
 
 @dataclass(frozen=True)
