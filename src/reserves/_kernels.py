@@ -7,9 +7,22 @@ cheapest containers to index from the interpreter.
 
 Conventions: left vertices are agent ids ``0..n-1`` (rows of the CSR), right
 vertices are dense category columns. ``epos[k]`` is the priority position of
-the edge's agent in the edge's category; an edge is live iff
-``epos[k] <= thr[c]``. ``THR_INF`` means "no pruning". Matched agents for a
-category ``c`` occupy ``slots[slot_base[c] : slot_base[c] + used[c]]``.
+the edge's agent in the edge's category; an edge is live iff its agent is
+alive and ``epos[k] <= thr[c]``. ``THR_INF`` means "no pruning". Matched
+agents for a category ``c`` occupy ``slots[slot_base[c] : slot_base[c] +
+used[c]]``. The column side is a second CSR over the same edges:
+``cagents[cptr[c] : cptr[c + 1]]`` are column ``c``'s agents, sorted by their
+positions ``cpos``, so the live ones are a prefix up to ``thr[c]``.
+
+Two searches find augmenting paths. The forward one (``augment``) starts at
+an unmatched agent and builds matchings from scratch. The backward one
+(``fill``) starts at a column with spare capacity and re-augments after a
+tentative removal. A removal frees capacity in a few columns, and a failed
+backward search explores only the columns from which some spare column can
+be reached. Both rely on Kuhn's lemma ("The Hungarian method for the
+assignment problem"): if no augmenting path starts at a vertex, none does
+after augmenting along other paths. It holds for columns and agents alike,
+so one pass over either side reaches maximum cardinality.
 """
 
 from __future__ import annotations
@@ -56,11 +69,9 @@ def augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visi
     return False
 
 
-def augment_pass(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots,
-                 need):
-    """One augmentation attempt per unmatched agent, in scan order, stopping
-    after ``need`` augmentations. Starting from any valid partial matching,
-    with ``need`` at least the missing size, this reaches maximum cardinality.
+def augment_pass(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots):
+    """One augmentation attempt per unmatched agent, in scan order. Starting
+    from any valid partial matching, this reaches maximum cardinality.
 
     ``visited`` is cleared only after a successful augmentation (Kuhn's dead
     marks): a category entered by a failed search cannot reach spare capacity
@@ -70,11 +81,63 @@ def augment_pass(order, alive, match, indptr, cats, epos, thr, cap, used, slot_b
     n_cols = len(cap)
     visited = [False] * n_cols
     for u in order:
-        if got >= need:
-            break
         if not alive[u] or match[u] >= 0:
             continue
         if augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visited):
+            got += 1
+            visited = [False] * n_cols
+    return got
+
+
+def fill(c, s, alive, match, cptr, cagents, cpos, thr, used, slot_base, slots, visited):
+    """Put a live agent into slot ``s`` of column ``c`` along an alternating
+    path that ends at an unmatched live agent, searching backwards: ``c``'s
+    agents in priority order, up to the first position above ``thr[c]``. A
+    matched agent's column is entered at most once per search; the caller
+    marks ``c`` itself."""
+    t = thr[c]
+    for k in range(cptr[c], cptr[c + 1]):
+        if cpos[k] > t:
+            break
+        a = cagents[k]
+        if not alive[a]:
+            continue
+        m = match[a]
+        if m < 0:
+            slots[s] = a
+            match[a] = c
+            return True
+        if visited[m]:
+            continue
+        visited[m] = True
+        if fill(m, slots.index(a, slot_base[m], slot_base[m] + used[m]), alive, match, cptr,
+                cagents, cpos, thr, used, slot_base, slots, visited):
+            slots[s] = a
+            match[a] = c
+            return True
+    return False
+
+
+def fill_pass(alive, match, cptr, cagents, cpos, thr, cap, used, slot_base, slots, need):
+    """One pass over the columns with spare capacity, filling each until it
+    is full or its search fails, and stopping after ``need`` augmentations.
+    Starting from any valid partial matching, with ``need`` at least the
+    missing size, this reaches maximum cardinality: every augmenting path
+    runs from a spare column to an unmatched agent, augmenting never empties
+    a slot, and a column whose search failed stays without a path (Kuhn's
+    lemma). Dead marks follow ``augment_pass``: a column entered by a failed
+    search cannot reach an unmatched agent until the matching changes, so the
+    marks are kept across failures and cleared after a success."""
+    got = 0
+    n_cols = len(cap)
+    visited = [False] * n_cols
+    for c in range(n_cols):
+        while got < need and used[c] < cap[c] and not visited[c]:
+            visited[c] = True
+            if not fill(c, slot_base[c] + used[c], alive, match, cptr, cagents, cpos, thr,
+                        used, slot_base, slots, visited):
+                break
+            used[c] += 1
             got += 1
             visited = [False] * n_cols
     return got

@@ -7,6 +7,7 @@ failure, 2 input error, 3 rule precondition error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -442,9 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; parse_args leaves
+    it unchanged, so every call to main can share it."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except (ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -48,8 +48,11 @@ class _RejectionEngine:
     column ``j`` is category ``cat_ids[j]`` with capacity ``quotas[j]``. An
     edge is live while its agent is alive and its position is at most its
     column's threshold, which pruning lowers. Agents are scanned in ``order``.
-    Each ``test_remove`` pushes a snapshot that its ``keep`` or ``undo``
-    pops, so tests may nest and be undone innermost first.
+    The same edges are also kept by column, in priority order, for the
+    backward searches of ``test_remove``. Each ``test_remove`` pushes a
+    snapshot that its ``keep`` or ``undo`` pops, so tests may nest and be
+    undone innermost first; undoing a test also undoes the tests kept
+    inside it.
     """
 
     def __init__(self, rows: Sequence[Iterable[tuple[int, int]]], cat_ids: Sequence[int],
@@ -62,12 +65,23 @@ class _RejectionEngine:
         self.epos: list[int] = []
         # pos[j][a]: priority position of agent a in column j (edges only)
         self.pos = [[0] * n for _ in range(n_cols)]
+        col_edges: list[list[tuple[int, int]]] = [[] for _ in range(n_cols)]
         for a, row in enumerate(rows):
             for j, pos in sorted(row):
                 self.cats.append(j)
                 self.epos.append(pos)
                 self.pos[j][a] = pos
+                col_edges[j].append((pos, a))
             self.indptr.append(len(self.cats))
+        # the same edges by column, each column's agents in priority order
+        self.cptr = [0]
+        self.cagents: list[int] = []
+        self.cpos: list[int] = []
+        for edges in col_edges:
+            for pos, a in sorted(edges):
+                self.cagents.append(a)
+                self.cpos.append(pos)
+            self.cptr.append(len(self.cagents))
         self.cap = [min(q, max(n, 1)) for q in quotas]
         self.slot_base = [0, *accumulate(self.cap)][:n_cols]
         self.thr = [_kernels.THR_INF] * n_cols
@@ -75,8 +89,8 @@ class _RejectionEngine:
         self.alive = [a in active for a in range(n)]
         self.order = list(order)
         self.match, self.used, self.slots = self._solve()
-        self._args = (self.indptr, self.cats, self.epos, self.thr, self.cap,
-                      self.used, self.slot_base, self.slots)
+        self._fill_args = (self.cptr, self.cagents, self.cpos, self.thr, self.cap, self.used,
+                           self.slot_base, self.slots)
         self._snaps: list[tuple] = []
 
     @classmethod
@@ -101,7 +115,7 @@ class _RejectionEngine:
         args = (self.indptr, self.cats, self.epos, self.thr, self.cap, used,
                 self.slot_base, slots)
         _kernels.greedy(self.order, self.alive, match, *args)
-        _kernels.augment_pass(self.order, self.alive, match, *args, len(match))
+        _kernels.augment_pass(self.order, self.alive, match, *args)
         return match, used, slots
 
     def _as_matching(self, match: list[int]) -> Matching:
@@ -119,9 +133,18 @@ class _RejectionEngine:
         whose threshold pruning lowers, those of agents now ranked below it.
         The new graph is a subgraph of the old one, so its maximum is at most
         the current size: if no pair died the matching is still maximum, and
-        otherwise re-augmentation stops once the lost pairs are made up."""
+        otherwise re-augmentation stops once the lost pairs are made up.
+
+        Re-augmentation is one backward pass from the columns with spare
+        capacity (``_kernels.fill_pass``). Every augmenting path joins a
+        spare column to an unmatched agent, and a column whose search fails
+        stays without one while other paths are augmented, so one pass, with
+        the dead marks of failed searches kept, reaches the maximum. The pass
+        may choose other paths than a from-scratch ``_solve`` would, so the
+        engine's own matching can differ from ``fresh_matching``; only the
+        size leaves it, and a maximum size is unique."""
         match, thr, used, slots, alive = self.match, self.thr, self.used, self.slots, self.alive
-        self._snaps.append((i, match[:], thr[:], used[:], slots[:]))
+        self._snaps.append((match[:], thr[:], used[:], slots[:], alive[:]))
         alive[i] = False
         hit = set()  # columns that may hold a dead pair
         if match[i] >= 0:
@@ -148,7 +171,7 @@ class _RejectionEngine:
             used[c] = out - base
             dropped += end - out
         if dropped:
-            _kernels.augment_pass(self.order, alive, match, *self._args, dropped)
+            _kernels.fill_pass(alive, match, *self._fill_args, dropped)
         return self.size()
 
     def keep(self) -> None:
@@ -157,13 +180,13 @@ class _RejectionEngine:
 
     def undo(self) -> None:
         """Revert the latest pending test_remove (the lists are restored in
-        place, since ``_args`` holds them)."""
-        i, match, thr, used, slots = self._snaps.pop()
+        place, since ``_fill_args`` holds them)."""
+        match, thr, used, slots, alive = self._snaps.pop()
         self.match[:] = match
         self.thr[:] = thr
         self.used[:] = used
         self.slots[:] = slots
-        self.alive[i] = True
+        self.alive[:] = alive
 
     def fresh_matching(self) -> Matching:
         """Deterministic maximum matching of the current reduced graph,

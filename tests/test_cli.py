@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC
+import reserves
 from reserves import axioms
 from reserves.cli import main
 
@@ -443,3 +447,39 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert main(["allocate", "--rule", "rr", "--instance", inst,
                  "--out", str(target)]) == 0
     assert json.loads(target.read_text())["assignment"] == {"2": "c2", "3": "c1"}
+
+
+def test_successive_calls_in_one_process_match_separate_processes(tmp_path, capsys):
+    # main builds its parser once per process: no flag may carry over from
+    # one call to the next
+    inst = write(tmp_path, "i.json", RESERVE_DOC)
+    calls = [
+        ["allocate", "--rule", "rr", "--instance", inst, "--out", "{dir}/rr.json"],
+        ["allocate", "--rule", "srr", "--instance", inst, "--split", "1,0"],
+        ["check", "--instance", inst, "--matching", "{dir}/rr.json", "--format", "table"],
+        ["check", "--rule", "srr", "--instance", inst, "--split", "0,1",
+         "--axioms", "max_size,order_preservation", "--out", "{dir}/check.json"],
+        ["allocate", "--rule", "srr", "--instance", inst],  # no split: exit 3
+        ["check", "--rule", "rr", "--instance", inst],
+        ["gen", "--agents", "3", "--categories", "1", "--seed", "4"],
+        ["verify", "--count", "2", "--max-agents", "4", "--seed", "3"],
+        ["allocate", "--rule", "rr", "--instance", inst, "--split", "1,0"],  # exit 2
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(reserves.__file__).parents[1]))
+    results = {}
+    for side in ("in-process", "separate"):
+        out_dir = tmp_path / side
+        out_dir.mkdir()
+        results[side] = []
+        for argv in calls:
+            argv = [a.replace("{dir}", str(out_dir)) for a in argv]
+            if side == "in-process":
+                code, stdout = main(argv), capsys.readouterr().out
+            else:
+                proc = subprocess.run([sys.executable, "-m", "reserves.cli", *argv],
+                                      capture_output=True, text=True, env=env, timeout=60)
+                code, stdout = proc.returncode, proc.stdout
+            results[side].append((code, stdout))
+        results[side].append(sorted((p.name, p.read_text()) for p in out_dir.iterdir()))
+    assert results["in-process"] == results["separate"]
+    assert [code for code, _ in results["separate"][:-1]] == [0, 0, 0, 0, 3, 0, 0, 0, 2]

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
+from conftest import make_instance
 from reserves.generator import random_instance
-from reserves.graph import (ReservationGraph, max_matching, max_matching_size,
-                            reduced_graph, reservation_graph)
+from reserves.graph import (ReservationGraph, _RejectionEngine, max_matching,
+                            max_matching_size, reduced_graph, reservation_graph)
 from reserves.model import ValidationError
 from reserves.oracle import enumerate_matchings
 
@@ -120,3 +123,132 @@ def test_invalid_graph_inputs(running):
         reduced_graph(running, rejected={11})
     with pytest.raises(ValidationError):
         ReservationGraph(frozenset({0}), ((0, 1),), frozenset({(1, 0)}), (0,))
+
+
+# --- the rejection engine's re-augmentation after tentative removals ---------
+
+def _fresh_size(inst, pruned, unpruned=()):
+    """Maximum size after removing ``pruned`` with pruning and ``unpruned``
+    without, from scratch on the forward path."""
+    g = reduced_graph(inst, rejected=pruned)
+    out = set(unpruned)
+    return max_matching_size(ReservationGraph(
+        g.left - out, g.right, frozenset(e for e in g.edges if e[0] not in out),
+        tuple(a for a in g.scan_order if a not in out)))
+
+
+def _engine(inst):
+    return _RejectionEngine.of(inst, range(len(inst.categories)))
+
+
+def _assert_consistent(engine):
+    """Every matched agent is alive, sits in its column's slots, and holds a
+    live edge; no column is over capacity."""
+    for c, (base, used) in enumerate(zip(engine.slot_base, engine.used)):
+        assert used <= engine.cap[c]
+        for a in engine.slots[base:base + used]:
+            assert engine.alive[a] and engine.match[a] == c
+            k = engine.cats.index(c, engine.indptr[a], engine.indptr[a + 1])
+            assert engine.epos[k] <= engine.thr[c]
+    assert sum(engine.used) == engine.size()
+
+
+def _doc(agents, baseline, categories):
+    return {"agents": agents, "baseline": baseline, "categories": [
+        {"name": name, "quota": quota, "kind": "preferential", "tiers": tiers,
+         "cutoff": len(tiers)} for name, quota, tiers in categories]}
+
+
+def test_engine_refills_a_column_spare_before_the_removal():
+    # i holds C and x holds A, while B, x's other column, stays spare.
+    # Removing i prunes x's edge to A: the only augmenting path runs from x,
+    # whose pair the removal dropped, to B, which no dropped pair frees.
+    inst = make_instance(_doc(["i", "x"], ["x", "i"],
+                              [("A", 1, [["i"], ["x"]]), ("B", 1, [["x"]]), ("C", 1, [["i"]])]))
+    engine = _engine(inst)
+    assert engine.match == [2, 0] and engine.used[1] == 0
+    assert engine.test_remove(0, prune=True) == 1 == _fresh_size(inst, {0})
+    assert engine.match[1] == 1
+    _assert_consistent(engine)
+
+
+def test_engine_refills_a_freed_column_from_an_agent_already_unmatched():
+    # i holds A, z holds B and y, eligible only for B, is unmatched. Removing
+    # i frees A: the only augmenting path runs from y through B to A.
+    inst = make_instance(_doc(["i", "z", "y"], ["i", "z", "y"],
+                              [("A", 1, [["z"], ["i"]]), ("B", 1, [["z"], ["y"]])]))
+    engine = _engine(inst)
+    assert engine.match == [0, 1, -1]
+    assert engine.test_remove(0, prune=True) == 2 == _fresh_size(inst, {0})
+    assert engine.match == [-1, 0, 1]
+    _assert_consistent(engine)
+
+
+def test_engine_clears_dead_marks_after_each_augmentation():
+    # b holds A; d and a hold B (quota 2); e is unmatched. Removing a prunes
+    # d from B, and B needs two augmentations: e -> A -> b -> B, then
+    # d -> A -> e -> B. The second passes through A, which the first entered.
+    inst = make_instance(_doc(["a", "e", "b", "d"], ["b", "d", "a", "e"],
+                              [("A", 1, [["e"], ["b"], ["d"]]),
+                               ("B", 2, [["b"], ["e"], ["a"], ["d"]])]))
+    engine = _engine(inst)
+    assert engine.match == [1, -1, 0, 1]
+    assert engine.test_remove(0, prune=True) == 3 == _fresh_size(inst, {0})
+    _assert_consistent(engine)
+
+
+def _walk(engine, inst, target, rejected, unscanned, seen):
+    # the oracle's walk: a rejecting test stays pending while it goes deeper
+    if (rejected, unscanned) in seen:
+        return
+    seen.add((rejected, unscanned))
+    for i in unscanned:
+        size = engine.test_remove(i, prune=True)
+        assert size == _fresh_size(inst, rejected | {i}), (rejected, i)
+        _assert_consistent(engine)
+        if size == target:
+            _walk(engine, inst, target, rejected | {i}, unscanned - {i}, seen)
+        engine.undo()
+        assert engine.size() == _fresh_size(inst, rejected)
+        if size != target:
+            _walk(engine, inst, target, rejected, unscanned - {i}, seen)
+
+
+def test_engine_sizes_in_nested_test_and_undo_sequences():
+    for seed in range(12):
+        inst = random_instance(6, 3, max_quota=2, eligibility_density=0.5,
+                               tie_prob=0.4, seed=seed)
+        engine = _engine(inst)
+        _walk(engine, inst, engine.size(), frozenset(), frozenset(range(inst.n)), set())
+
+
+def test_engine_sizes_under_random_keep_and_undo():
+    # scarce instances, so that removals often drop several pairs at once;
+    # a test kept while an outer one is pending is undone with the outer one
+    rng = random.Random(5)
+    for seed in range(60):
+        inst = random_instance(rng.randint(8, 30), rng.randint(2, 6),
+                               max_quota=rng.randint(1, 4),
+                               eligibility_density=rng.choice((0.3, 0.5)),
+                               tie_prob=rng.choice((0.0, 0.4)), seed=seed)
+        engine = _engine(inst)
+        # removals per level: the committed ones, then one list per pending test
+        levels: list[list[tuple[int, bool]]] = [[]]
+        for _ in range(2 * inst.n):
+            alive = [a for a in range(inst.n) if engine.alive[a]]
+            if len(levels) > 1 and (not alive or rng.random() < 0.4):
+                done = levels.pop()
+                if rng.random() < 0.5:
+                    engine.keep()
+                    levels[-1] += done
+                else:
+                    engine.undo()
+            elif alive:
+                test = (rng.choice(alive), rng.random() < 0.7)
+                engine.test_remove(*test)
+                levels.append([test])
+            removed = [test for level in levels for test in level]
+            expected = _fresh_size(inst, {a for a, p in removed if p},
+                                   {a for a, p in removed if not p})
+            assert engine.size() == expected, (seed, removed)
+            _assert_consistent(engine)
