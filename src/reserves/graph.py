@@ -65,22 +65,23 @@ class _RejectionEngine:
         self.epos: list[int] = []
         # pos[j][a]: priority position of agent a in column j (edges only)
         self.pos = [[0] * n for _ in range(n_cols)]
-        col_edges: list[list[tuple[int, int]]] = [[] for _ in range(n_cols)]
+        cats, epos, pos_of = self.cats, self.epos, self.pos
+        col_agents: list[list[int]] = [[] for _ in range(n_cols)]
         for a, row in enumerate(rows):
             for j, pos in sorted(row):
-                self.cats.append(j)
-                self.epos.append(pos)
-                self.pos[j][a] = pos
-                col_edges[j].append((pos, a))
-            self.indptr.append(len(self.cats))
+                cats.append(j)
+                epos.append(pos)
+                pos_of[j][a] = pos
+                col_agents[j].append(a)
+            self.indptr.append(len(cats))
         # the same edges by column, each column's agents in priority order
         self.cptr = [0]
         self.cagents: list[int] = []
         self.cpos: list[int] = []
-        for edges in col_edges:
-            for pos, a in sorted(edges):
-                self.cagents.append(a)
-                self.cpos.append(pos)
+        for agents, pos_j in zip(col_agents, pos_of):
+            agents.sort(key=pos_j.__getitem__)
+            self.cagents += agents
+            self.cpos += map(pos_j.__getitem__, agents)
             self.cptr.append(len(self.cagents))
         self.cap = [min(q, max(n, 1)) for q in quotas]
         self.slot_base = [0, *accumulate(self.cap)][:n_cols]
