@@ -334,19 +334,21 @@ def cmd_verify(args) -> int:
     if args.manipulation_budget < 0:
         raise ValidationError("--manipulation-budget must be nonnegative")
     passed = failed = skipped = 0
-    first_discrepancy = None
+    # (rule, axiom) -> [instances failing it, the first one, its message, its witness]
+    failures: dict[tuple[str, str], list] = {}
     for idx in range(args.count):
         doc = random_instance_document(
             args.max_agents, args.categories, max_quota=args.max_quota,
             eligibility_density=args.eligibility_density, tie_prob=args.tie_prob,
             seed=args.seed + idx, unreserved=args.unreserved)
         inst = instance_from_document(doc)
-        problems = []
+        problems = []  # (rule, axiom, message, witness)
         try:
             rep = oracle.verify_characterization(inst)
             if not rep.ok:
-                problems.append(f"characterization mismatch: rule-only="
-                                f"{rep.only_rule_side} axiom-only={rep.only_axiom_side}")
+                witness = f"rule-only={rep.only_rule_side} axiom-only={rep.only_axiom_side}"
+                problems.append(("rr", "characterization",
+                                 f"characterization mismatch: {witness}", witness))
         except oracle.OracleBoundError as e:
             print(f"instance {idx}: skipped characterization ({e})", file=sys.stderr)
             skipped += 1
@@ -358,20 +360,24 @@ def cmd_verify(args) -> int:
             matching = axioms.HARNESS_RULES[rule](work)
             for rep in _evaluate(work, matching, names, rule, args.manipulation_budget):
                 if not rep.holds:
-                    problems.append(f"{rule} violates {rep.axiom}: {rep.witnesses[:1]}")
+                    witness = f"{rep.witnesses[:1]}"
+                    problems.append((rule, rep.axiom, f"{rule} violates {rep.axiom}: {witness}",
+                                     witness))
 
         if problems:
             failed += 1
-            if first_discrepancy is None:
-                first_discrepancy = (idx, problems[0])
         else:
             passed += 1
+        for rule, axiom, message, witness in problems:
+            failures.setdefault((rule, axiom), [0, idx, message, witness])[0] += 1
 
     print(f"verified {args.count} instances: {passed} passed, {failed} failed, "
           f"{skipped} skipped characterization (bound)")
-    if first_discrepancy is not None:
-        print(f"first discrepancy at instance {first_discrepancy[0]}: "
-              f"{first_discrepancy[1]}")
+    if failures:
+        _, idx, message, _ = next(iter(failures.values()))
+        print(f"first discrepancy at instance {idx}: {message}")
+    for (rule, axiom), (count, idx, _, witness) in failures.items():
+        print(f"{rule} {axiom}: {count} failed, first at instance {idx}: {witness}")
     return EXIT_OK if failed == 0 else EXIT_AXIOM_FAIL
 
 

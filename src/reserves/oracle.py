@@ -1,23 +1,33 @@
 """Exhaustive ground truth on small instances.
 
-Enumerates every eligibility-compliant matching directly from the instance
-(no shared code with the matching kernels), computes the set of matchings
-that also respect priorities and have maximum size, and compares it against
-the union of rejection-scan outcomes over every baseline ordering. The
-orderings are not run one by one: a scan step's decision depends only on
-the agents already rejected and the agent tested, so one matching engine
-walks the scan states (rejected, unscanned) depth-first, expanding each
-once, and every ordering's scan is one path through them. Each distinct
-final reduced graph has its maximum matchings enumerated once. Hard bounds
-guard the exponential enumerations.
+Two sides are computed independently and compared. The axiom side walks
+the eligibility-compliant matchings of the instance directly (no shared code
+with the matching kernels) and keeps the priority-respecting ones of maximum
+size. The rule side is the union of the rejection scan's outcomes over every
+baseline ordering, found without running the orderings one by one.
+
+On the symmetrized instance every ranking is fixed, so the reduced graph
+G(R) after rejecting a set R depends on R alone. Write F(R) for "G(R) keeps
+the full graph's maximum matching size". F is closed under subsets: if
+R is a subset of R', then G(R') is a subgraph of G(R) (fewer agents,
+thresholds no higher), so F(R') implies F(R). Hence an agent whose test
+fails at R (F(R + {i}) is false) fails at every superset of R. The scan
+rejects an agent exactly when her test succeeds, so it ends on a maximal
+F-set, and every maximal F-set is where the scan ends that tests its
+members first. The rule side is therefore the union, over the maximal
+F-sets R, of the maximum matchings of G(R); one matching engine walks the
+F-sets.
+
+Both sides enumerate only maximum matchings, by a depth-first walk that
+cuts a branch once it cannot reach the best size found. Hard bounds guard
+the exponential enumerations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .axioms import check_respect_priorities
 from .graph import ReservationGraph, _RejectionEngine, reduced_graph, reservation_graph
 from .model import Instance, Kind, Matching
 
@@ -25,22 +35,28 @@ from .model import Instance, Kind, Matching
 Canonical = tuple[tuple[int, int], ...]
 MatchingSet = frozenset[Canonical]
 
-MAX_ENUM_AGENTS = 8
-MAX_ORDERING_AGENTS = 8
+MAX_ENUM_AGENTS = 19
+MAX_ORDERING_AGENTS = 19
 
 
 class OracleBoundError(RuntimeError):
     """The requested enumeration exceeds the configured resource guard."""
 
 
+def _check_bound(inst: Instance, max_agents: int) -> None:
+    if inst.n > max_agents:
+        raise OracleBoundError(f"instance has {inst.n} agents, bound is {max_agents}")
+
+
 def enumerate_matchings(inst: Instance, max_agents: int = MAX_ENUM_AGENTS) -> Iterator[Matching]:
     """Yield every eligibility-compliant matching exactly once.
 
     Depth-first over agents in id order; each agent tries her eligible
-    categories in declaration order and then stays unmatched.
+    categories in declaration order and then stays unmatched. Nothing is
+    pruned, so this is the reference the maximum-only walks are tested
+    against.
     """
-    if inst.n > max_agents:
-        raise OracleBoundError(f"instance has {inst.n} agents, bound is {max_agents}")
+    _check_bound(inst, max_agents)
     return (Matching(m) for m in _graph_matchings(reservation_graph(inst)))
 
 
@@ -70,20 +86,76 @@ def _graph_matchings(g: ReservationGraph) -> Iterator[dict[int, int]]:
     return walk(0)
 
 
+def _maximum_matchings(adj: Sequence[Sequence[tuple[int, int]]], quota: Sequence[int],
+                       respect: bool) -> list[Canonical]:
+    """Every matching of maximum size, each once, in canonical form.
+
+    ``adj[a]`` lists agent ``a``'s categories as (category, priority
+    position). Agents are decided in id order: each tries her categories in
+    turn and then stays unmatched. A branch is cut once its size plus the
+    undecided agents that have a category falls below the best size found.
+    With ``respect``, a branch is also cut as soon as an unmatched agent
+    outranks a holder of one of her categories, whichever of the two was
+    decided first, so only priority-respecting matchings are walked and the
+    maximum is taken over them.
+    """
+    n = len(adj)
+    reach = [0] * (n + 1)  # reach[k]: agents k.. that have a category
+    for k in range(n - 1, -1, -1):
+        reach[k] = reach[k + 1] + bool(adj[k])
+    used = [0] * len(quota)
+    held: list[list[int]] = [[] for _ in quota]  # holders' positions
+    passed: list[list[int]] = [[] for _ in quota]  # unmatched agents' positions
+    current: list[tuple[int, int]] = []
+    best = 0
+    found: list[Canonical] = []
+
+    def walk(k: int) -> None:
+        nonlocal best
+        if len(current) + reach[k] < best:
+            return
+        if k == n:
+            if len(current) > best:
+                best = len(current)
+                found.clear()
+            found.append(tuple(current))
+            return
+        for c, p in adj[k]:
+            if used[c] < quota[c] and not (respect and passed[c] and min(passed[c]) < p):
+                used[c] += 1
+                held[c].append(p)
+                current.append((k, c))
+                walk(k + 1)
+                current.pop()
+                held[c].pop()
+                used[c] -= 1
+        if respect:
+            if any(held[c] and p < max(held[c]) for c, p in adj[k]):
+                return
+            for c, p in adj[k]:
+                passed[c].append(p)
+            walk(k + 1)
+            for c, p in adj[k]:
+                passed[c].pop()
+        else:
+            walk(k + 1)
+
+    walk(0)
+    return found
+
+
 def axiom_satisfying_set(inst: Instance, max_agents: int = MAX_ENUM_AGENTS) -> MatchingSet:
     """All eligibility-compliant, priority-respecting matchings of maximum
-    size, with the maximum taken by enumeration (independent of the kernels).
-    Priorities are checked only on the matchings of maximum size."""
-    best = 0
-    largest: list[Matching] = []
-    for m in enumerate_matchings(inst, max_agents):
-        size = m.size()
-        if size > best:
-            best, largest = size, []
-        if size == best:
-            largest.append(m)
-    return frozenset(m.canonical() for m in largest
-                     if check_respect_priorities(inst, m).holds)
+    size, enumerated from the instance alone (independent of the kernels).
+
+    The walk keeps only priority-respecting matchings, so its maximum is
+    taken over them. The rule side's matchings have the overall maximum
+    size, so were that larger, the two sides would differ and
+    ``verify_characterization`` would still report it."""
+    _check_bound(inst, max_agents)
+    adj = [[(c, inst.position(c, a)) for c in inst.eligible_categories(a)]
+           for a in range(inst.n)]
+    return frozenset(_maximum_matchings(adj, [c.quota for c in inst.categories], True))
 
 
 def _symmetrize(inst: Instance) -> Instance:
@@ -97,61 +169,81 @@ def rr_outcome_set(inst: Instance, max_agents: int = MAX_ORDERING_AGENTS) -> Mat
     """Union over every baseline ordering of all maximum matchings of the
     final reduced graph left by the rejection scan.
 
-    The final rejected sets come from ``_final_rejected_sets`` on the
-    symmetrized instance, whose categories all have fixed rankings, so the
-    reduced graph's edges depend only on the rejected set and its matchings
-    are enumerated once per distinct set.
-    """
-    if inst.n > max_agents:
-        raise OracleBoundError(f"instance has {inst.n} agents, bound is {max_agents}")
+    The final rejected sets are the maximal F-sets of the symmetrized
+    instance (``_final_rejected_sets``), each reduced graph's maximum
+    matchings are enumerated once."""
+    _check_bound(inst, max_agents)
     base = _symmetrize(inst)
     out: set[Canonical] = set()
     for rejected in _final_rejected_sets(base):
-        g = reduced_graph(base, rejected=rejected)
-        matchings = list(_graph_matchings(g))
-        ms = max((len(m) for m in matchings), default=0)
-        for m in matchings:
-            if len(m) == ms:
-                out.add(tuple(sorted(m.items())))
+        out.update(_graph_maximum_matchings(reduced_graph(base, rejected=rejected)))
     return frozenset(out)
+
+
+def _graph_maximum_matchings(g: ReservationGraph) -> list[Canonical]:
+    """Every maximum matching of ``g``, in canonical form."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(max(g.left, default=-1) + 1)]
+    for a, c in sorted(g.edges):
+        adj[a].append((c, 0))
+    quota = [0] * (max((c for c, _ in g.right), default=-1) + 1)
+    for c, q in g.right:
+        quota[c] = q
+    return _maximum_matchings(adj, quota, False)
 
 
 def _final_rejected_sets(inst: Instance) -> set[frozenset[int]]:
     """The rejected sets the rejection scan ends with, over every ordering
-    of the agents of ``inst`` (whose categories must all have fixed rankings).
+    of the agents of ``inst`` (whose categories must all have fixed
+    rankings): the maximal F-sets, where F(R) means that the reduced graph
+    after rejecting R keeps the full graph's maximum size.
 
-    After rejecting a set R the reduced graph depends on R alone (the live
-    agents and each category's threshold), and so does its maximum size.
-    Scanning agent i then rejects her exactly when the graph of R + {i}
-    keeps the full graph's maximum: a decision fixed by (R, i). So the scan
-    of an ordering is one path through the states (rejected, unscanned),
-    every complete path is the scan of some ordering, and a depth-first walk
-    that expands each state once finds every final rejected set.
-    """
+    The lemma: F is closed under subsets, since rejecting more agents only
+    removes agents and lowers thresholds. The scan rejects agent i at
+    rejected set R exactly when F(R + {i}), so each of its rejected sets is
+    an F-set, and an agent it keeps fails at the final set too: the scan
+    ends on a maximal F-set. Conversely, the scan that tests a maximal
+    F-set's members first rejects them all and keeps everyone else. By the
+    lemma, an agent whose test fails at R fails at every superset of R, so
+    ``_walk_f_sets`` carries such agents down as dead and never tests them
+    again; it reaches each F-set once, adding agents in increasing id
+    order, on one engine."""
     engine = _RejectionEngine.of(inst, range(len(inst.categories)))
-    seen: set[tuple[frozenset[int], frozenset[int]]] = set()
-    _walk_scan_states(engine, engine.size(), frozenset(), frozenset(range(inst.n)), seen)
-    return {rejected for rejected, unscanned in seen if not unscanned}
+    final: set[frozenset[int]] = set()
+    _walk_f_sets(engine, engine.size(), [], frozenset(), final)
+    return final
 
 
-def _walk_scan_states(engine: _RejectionEngine, target: int, rejected: frozenset[int],
-                      unscanned: frozenset[int],
-                      seen: set[tuple[frozenset[int], frozenset[int]]]) -> None:
-    """Add the state (rejected, unscanned) and every state reachable from it
-    to ``seen``, expanding none twice. The engine holds the graph after
-    rejecting ``rejected``; it goes deeper while a rejecting test is pending
-    and undoes the test on the way back."""
-    if (rejected, unscanned) in seen:
-        return
-    seen.add((rejected, unscanned))
-    for i in unscanned:
-        rest = unscanned - {i}
-        if engine.test_remove(i, prune=True) == target:
-            _walk_scan_states(engine, target, rejected | {i}, rest, seen)
-            engine.undo()
-        else:
-            engine.undo()
-            _walk_scan_states(engine, target, rejected, rest, seen)
+def _walk_f_sets(engine: _RejectionEngine, target: int, rejected: list[int],
+                 dead: frozenset[int], final: set[frozenset[int]]) -> None:
+    """Add to ``final`` every maximal F-set that extends ``rejected`` by
+    agents above its last one. The engine holds the graph after rejecting
+    ``rejected``; ``dead`` holds agents whose test failed at a subset of it,
+    so fails here too. Each live agent above the last one is tested and the
+    test undone; the walk recurses into each success with its test
+    re-applied. Without a success, the set is final unless an agent below
+    the last one, outside it and not dead, keeps the target."""
+    start = rejected[-1] + 1 if rejected else 0
+    grow, failed = [], []
+    for i in range(start, len(engine.alive)):
+        if i not in dead:
+            (grow if _keeps(engine, i, target) else failed).append(i)
+    dead = dead.union(failed)
+    for i in grow:
+        engine.test_remove(i, prune=True)
+        rejected.append(i)
+        _walk_f_sets(engine, target, rejected, dead, final)
+        rejected.pop()
+        engine.undo()
+    if not grow:
+        outside = dead.union(rejected)
+        if not any(_keeps(engine, j, target) for j in range(start) if j not in outside):
+            final.add(frozenset(rejected))
+
+
+def _keeps(engine: _RejectionEngine, i: int, target: int) -> bool:
+    keeps = engine.test_remove(i, prune=True) == target
+    engine.undo()
+    return keeps
 
 
 @dataclass(frozen=True)

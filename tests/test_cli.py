@@ -9,8 +9,9 @@ import pytest
 
 from conftest import EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC
 import reserves
-from reserves import axioms
+from reserves import axioms, oracle
 from reserves.cli import main
+from reserves.model import Matching
 
 
 def write(tmp_path, name, doc):
@@ -430,6 +431,44 @@ def test_verify_reports_failures_and_first_discrepancy(capsys, monkeypatch):
                         "0 skipped characterization (bound)")
     assert lines[1] == ("first discrepancy at instance 0: rr violates nonwasteful: "
                         "(WasteWitness(agent=0, category=0),)")
+
+
+def test_verify_counts_failures_per_rule_and_axiom(capsys, monkeypatch):
+    # an srr that matches nobody breaks max_beneficiary alone, and only on
+    # instances where some agent can take a preferential unit
+    monkeypatch.setitem(axioms.HARNESS_RULES, "srr", lambda inst: Matching({}))
+    assert main(["verify", "--count", "4", "--max-agents", "4", "--seed", "2",
+                 "--unreserved", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "verified 4 instances: 0 passed, 4 failed, 0 skipped characterization (bound)",
+        "first discrepancy at instance 0: srr violates max_beneficiary: "
+        "(SizeGapWitness(found=0, optimum=3),)",
+        "srr max_beneficiary: 4 failed, first at instance 0: "
+        "(SizeGapWitness(found=0, optimum=3),)",
+    ]
+    # rr's nonwasteful checker failing too gets a line of its own, in the
+    # order the failures were first seen
+    failing = axioms.AxiomReport("nonwasteful", False, (axioms.WasteWitness(0, 0),), 1)
+    monkeypatch.setattr(axioms, "check_nonwasteful", lambda inst, m: failing)
+    assert main(["verify", "--count", "4", "--max-agents", "4", "--seed", "2",
+                 "--unreserved", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "first discrepancy at instance 0: rr violates nonwasteful: "
+        "(WasteWitness(agent=0, category=0),)",
+        "rr nonwasteful: 4 failed, first at instance 0: (WasteWitness(agent=0, category=0),)",
+        "srr max_beneficiary: 4 failed, first at instance 0: "
+        "(SizeGapWitness(found=0, optimum=3),)",
+    ]
+    # a characterization mismatch counts against rr
+    mismatch = oracle.CharacterizationReport(False, (((0, 0),),), ())
+    monkeypatch.setattr(oracle, "verify_characterization", lambda inst: mismatch)
+    assert main(["verify", "--count", "2", "--max-agents", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "first discrepancy at instance 0: characterization mismatch: "
+        "rule-only=(((0, 0),),) axiom-only=()",
+        "rr characterization: 2 failed, first at instance 0: rule-only=(((0, 0),),) axiom-only=()",
+        "rr nonwasteful: 2 failed, first at instance 0: (WasteWitness(agent=0, category=0),)",
+    ]
 
 
 def test_table_format_carries_same_fields(tmp_path, capsys):

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import make_instance
 from reserves import oracle
+from reserves.axioms import check_respect_priorities
 from reserves.generator import random_instance
-from reserves.graph import _RejectionEngine, reduced_graph
-from reserves.model import Instance
+from reserves.graph import _RejectionEngine, max_matching_size, reduced_graph, reservation_graph
+from reserves.model import Instance, Matching
 from reserves.oracle import (OracleBoundError, axiom_satisfying_set,
                              enumerate_matchings, rr_outcome_set,
                              verify_characterization)
@@ -141,11 +142,16 @@ def test_outcome_set_equals_plain_union_at_seven_tied_agents():
 
 
 def test_bounds_are_enforced():
-    inst = random_instance(9, 2, seed=0)
+    inst = random_instance(oracle.MAX_ENUM_AGENTS + 1, 2, seed=0)
     with pytest.raises(OracleBoundError):
         list(enumerate_matchings(inst))
     with pytest.raises(OracleBoundError):
+        axiom_satisfying_set(inst)
+    inst = random_instance(oracle.MAX_ORDERING_AGENTS + 1, 2, seed=0)
+    with pytest.raises(OracleBoundError):
         rr_outcome_set(inst)
+    with pytest.raises(OracleBoundError):
+        verify_characterization(inst)
 
 
 def test_characterization_at_eight_agents():
@@ -153,6 +159,82 @@ def test_characterization_at_eight_agents():
         inst = random_instance(8, 2 + seed % 4, max_quota=2, eligibility_density=0.6,
                                tie_prob=0.4 * (seed % 2), seed=seed, unreserved=seed % 3)
         assert verify_characterization(inst, 8).ok, seed
+
+
+def test_characterization_beyond_eight_agents():
+    # a dense generator (4 categories, 2 unreserved units) and a scarce one
+    # (2 categories, 1 unreserved unit), up to 16 agents
+    for n, seed in ((10, 0), (12, 0), (14, 2), (16, 1)):
+        inst = random_instance(n, 4, max_quota=3, eligibility_density=0.7, tie_prob=0.4,
+                               seed=seed, unreserved=2)
+        assert verify_characterization(inst).ok, (n, seed)
+    for n, seed in ((12, 2), (14, 1), (16, 2)):
+        inst = random_instance(n, 2, max_quota=2, tie_prob=0.5, seed=seed, unreserved=1)
+        assert verify_characterization(inst).ok, (n, seed)
+
+
+def _guard_instances():
+    """Seeded instances of 3-8 agents: ties, and an unreserved pair at the
+    splits (0, q), (q, 0) and one in between."""
+    for seed in range(24):
+        inst = random_instance(3 + seed % 6, 1 + seed % 3, max_quota=2,
+                               eligibility_density=0.6, tie_prob=0.4 * (seed % 3 > 0),
+                               seed=seed, unreserved=seed % 4)
+        yield inst
+        if inst.has_unreserved:
+            q = inst.unreserved_quota
+            yield inst.with_split(q, 0)
+            if q > 1:
+                yield inst.with_split(1, q - 1)
+
+
+def test_guard_instances_cover_ties_and_extreme_splits():
+    instances = list(_guard_instances())
+    assert {inst.n for inst in instances} == set(range(3, 9))
+    assert any(len(tier) > 1 for inst in instances for c in inst.categories
+               for tier in c.ranking.tiers)
+    splits = {inst.split for inst in instances if inst.has_unreserved}
+    assert {(0, 3), (3, 0), (0, 1), (1, 0)} <= splits
+
+
+def _largest(matchings):
+    matchings = [tuple(sorted(m.items())) for m in matchings]
+    best = max(map(len, matchings), default=0)
+    return {m for m in matchings if len(m) == best}
+
+
+def test_pruned_walks_equal_the_unpruned_reference():
+    """The maximum-only walker is shared by both sides, so it is held to
+    the unpruned enumeration: on the rule side, the maximum matchings of
+    every final reduced graph and of the full graph; on the axiom side,
+    the priority-respecting ones among the maximum matchings."""
+    for inst in _guard_instances():
+        base = oracle._symmetrize(inst)
+        for rejected in oracle._final_rejected_sets(base) | {frozenset()}:
+            g = reduced_graph(base, rejected=rejected)
+            got = oracle._graph_maximum_matchings(g)
+            assert len(got) == len(set(got))
+            assert set(got) == _largest(oracle._graph_matchings(g)), (inst, rejected)
+        expected = {m for m in _largest(m.assignment for m in enumerate_matchings(inst))
+                    if check_respect_priorities(inst, Matching(dict(m))).holds}
+        assert axiom_satisfying_set(inst) == expected, inst
+
+
+def test_walk_returns_the_brute_force_maximal_f_sets():
+    """The F-set walk ends on exactly the maximal sets R whose reduced
+    graph keeps the full maximum, found here over all subsets with
+    max_matching_size rather than the engine's tests and undos."""
+    several = 0
+    for inst in _guard_instances():
+        base = oracle._symmetrize(inst)
+        full = max_matching_size(reservation_graph(base))
+        f_sets = [frozenset(r) for k in range(inst.n + 1)
+                  for r in itertools.combinations(range(inst.n), k)
+                  if max_matching_size(reduced_graph(base, rejected=r)) == full]
+        maximal = {r for r in f_sets if not any(r < s for s in f_sets)}
+        assert oracle._final_rejected_sets(base) == maximal, inst
+        several += len(maximal) >= 3
+    assert several >= 5
 
 
 def test_corrupted_scan_is_detected(scan, monkeypatch):
