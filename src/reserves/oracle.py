@@ -170,8 +170,8 @@ def rr_outcome_set(inst: Instance, max_agents: int = MAX_ORDERING_AGENTS) -> Mat
     final reduced graph left by the rejection scan.
 
     The final rejected sets are the maximal F-sets of the symmetrized
-    instance (``_final_rejected_sets``), each reduced graph's maximum
-    matchings are enumerated once."""
+    instance (``_final_rejected_sets``), and each one's reduced graph has
+    its maximum matchings enumerated once."""
     _check_bound(inst, max_agents)
     base = _symmetrize(inst)
     out: set[Canonical] = set()
@@ -218,7 +218,7 @@ def _walk_f_sets(engine: _RejectionEngine, target: int, rejected: list[int],
     """Add to ``final`` every maximal F-set that extends ``rejected`` by
     agents above its last one. The engine holds the graph after rejecting
     ``rejected``; ``dead`` holds agents whose test failed at a subset of it,
-    so fails here too. Each live agent above the last one is tested and the
+    and so fails here too. Each live agent above the last one is tested and the
     test undone; the walk recurses into each success with its test
     re-applied. Without a success, the set is final unless an agent below
     the last one, outside it and not dead, keeps the target."""
