@@ -104,3 +104,55 @@ def mg_pattern_instance(seed: int, agents: int = 6, cats: int = 2,
                          "tiers": [[nm] for nm in eligible], "cutoff": len(eligible)})
     cat_docs.append({"name": "u", "quota": unreserved, "kind": "unreserved"})
     return make_instance({"agents": names, "baseline": baseline, "categories": cat_docs})
+
+
+def classical_corpus_doc(seed: int) -> dict:
+    """A seeded instance document near the classical reserve setting.
+
+    1-30 agents, 0-5 preferential categories with quotas 0-4 (some with
+    nobody eligible), agents with no preferential category, strict tiers
+    read off the baseline above the cutoff and random tiers with ties below
+    it. Most documents add an unreserved category of 0-8 units at a random
+    position, half of them with a declared split. About one category in
+    twelve leaves the domain: it takes in an agent another category owns,
+    or swaps or ties two of its eligible agents.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    names = [f"a{i}" for i in range(n)]
+    baseline = names[:]
+    rng.shuffle(baseline)
+    k = rng.randint(0, 5)
+    owner = {nm: rng.randrange(k + 1) for nm in names}  # == k means none
+    cats = []
+    for c in range(k):
+        tiers = [[nm] for nm in baseline if owner[nm] == c]
+        fault = rng.random()
+        others = [nm for nm in names if owner[nm] not in (c, k)]
+        if fault < 0.03 and others:
+            tiers.insert(rng.randint(0, len(tiers)), [rng.choice(others)])
+        elif fault < 0.06 and len(tiers) > 1:
+            j = rng.randrange(len(tiers) - 1)
+            tiers[j], tiers[j + 1] = tiers[j + 1], tiers[j]
+        elif fault < 0.08 and len(tiers) > 1:
+            j = rng.randrange(len(tiers) - 1)
+            tiers[j:j + 2] = [tiers[j] + tiers[j + 1]]
+        cutoff = len(tiers)
+        listed = {nm for tier in tiers for nm in tier}
+        below = [nm for nm in names if nm not in listed and rng.random() < 0.4]
+        rng.shuffle(below)
+        for nm in below:
+            if len(tiers) > cutoff and rng.random() < 0.3:
+                tiers[-1].append(nm)
+            else:
+                tiers.append([nm])
+        cats.append({"name": f"c{c}", "quota": rng.randint(0, 4), "kind": "preferential",
+                     "tiers": tiers, "cutoff": cutoff})
+    doc = {"agents": names, "baseline": baseline, "categories": cats}
+    if rng.random() < 0.8:
+        q = rng.randint(0, 8)
+        cats.insert(rng.randint(0, k), {"name": "u", "quota": q, "kind": "unreserved"})
+        if rng.random() < 0.5:
+            first = rng.randint(0, q)
+            doc["unreserved_split"] = {"first": first, "last": q - first}
+    return doc

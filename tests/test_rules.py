@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 import random
 import time
 
 import pytest
 
-from conftest import RUNNING_DOC, make_instance, mg_pattern_instance, names_of
+from conftest import (RUNNING_DOC, classical_corpus_doc, make_instance, mg_pattern_instance,
+                      names_of)
 from reserves.axioms import (check_eligibility, check_max_beneficiary,
                              check_nonwasteful, check_order_preservation,
                              check_respect_priorities)
@@ -248,6 +251,32 @@ def test_srr_all_late_equals_mg_exactly():
     for seed in range(40):
         inst = mg_pattern_instance(seed)
         assert srr(inst.with_split(0, inst.unreserved_quota)) == minimum_guarantees(inst)
+
+
+def test_mg_oaa_outputs_pinned_on_classical_corpus():
+    # Pins both rules' outputs independently of srr: the digest was taken
+    # from the one-pass implementations of minimum guarantees and
+    # over-and-above on these 2,000 documents. A PreconditionError counts by
+    # its message, so the first error an instance outside the domain raises
+    # is pinned too.
+    rows, kinds = [], {"in domain": 0, "two categories": 0, "inconsistent": 0}
+    for seed in range(2000):
+        inst = make_instance(classical_corpus_doc(seed))
+        row = []
+        for rule in (minimum_guarantees, over_and_above):
+            try:
+                row.append(rule(inst).canonical())
+            except PreconditionError as e:
+                row.append(str(e))
+        rows.append(row)
+        if isinstance(row[0], tuple):
+            kinds["in domain"] += 1
+        else:
+            assert row[1] == row[0]
+            kinds["two categories" if "more than one" in row[0] else "inconsistent"] += 1
+    assert kinds == {"in domain": 1667, "two categories": 154, "inconsistent": 179}
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "12735dc5fc09819e668b517965a996cdca2df446857245461eb3b1f2560716f5"
 
 
 # ---------------------------------------------------------------------------
