@@ -20,7 +20,8 @@ F-sets.
 
 Both sides enumerate only maximum matchings, by a depth-first walk that
 cuts a branch once it cannot reach the best size found. Hard bounds guard
-the exponential enumerations.
+the exponential enumerations: an agent count, and a node count for each
+matching walk.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ MatchingSet = frozenset[Canonical]
 
 MAX_ENUM_AGENTS = 19
 MAX_ORDERING_AGENTS = 19
+#: nodes one matching walk may visit before it gives up
+MAX_WALK_NODES = 2_000_000
 
 
 class OracleBoundError(RuntimeError):
@@ -46,6 +49,10 @@ class OracleBoundError(RuntimeError):
 def _check_bound(inst: Instance, max_agents: int) -> None:
     if inst.n > max_agents:
         raise OracleBoundError(f"instance has {inst.n} agents, bound is {max_agents}")
+
+
+def _walk_bound() -> OracleBoundError:
+    return OracleBoundError(f"matching walk exceeds {MAX_WALK_NODES} nodes")
 
 
 def enumerate_matchings(inst: Instance, max_agents: int = MAX_ENUM_AGENTS) -> Iterator[Matching]:
@@ -68,8 +75,13 @@ def _graph_matchings(g: ReservationGraph) -> Iterator[dict[int, int]]:
     quota = dict(g.right)
     used = {c: 0 for c, _ in g.right}
     current: dict[int, int] = {}
+    nodes = 0
 
     def walk(k: int) -> Iterator[dict[int, int]]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_WALK_NODES:
+            raise _walk_bound()
         if k == len(agents):
             yield dict(current)
             return
@@ -109,9 +121,13 @@ def _maximum_matchings(adj: Sequence[Sequence[tuple[int, int]]], quota: Sequence
     current: list[tuple[int, int]] = []
     best = 0
     found: list[Canonical] = []
+    nodes = 0
 
     def walk(k: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > MAX_WALK_NODES:
+            raise _walk_bound()
         if len(current) + reach[k] < best:
             return
         if k == n:

@@ -6,10 +6,11 @@ her and without giving her justified envy, then match everyone left. ``srr``
 wraps it with an unreserved category whose units are handed out partly
 before and partly after the preferential ones. The instance carries that
 split (``Instance.split``); ``Instance.with_split`` gives the same instance
-at another one. The classical one-category rules (minimum guarantees,
-over-and-above) and an agent-proposing deferred acceptance baseline are
-provided for comparison, plus a soft-reserves variant that hands leftover
-preferential units to ineligible agents.
+at another one. The classical reserve rules are srr at its two extreme
+splits: minimum guarantees processes every unreserved unit last,
+over-and-above every unit first. An agent-proposing deferred acceptance
+baseline is provided for comparison, plus a soft-reserves variant that hands
+leftover preferential units to ineligible agents.
 """
 
 from __future__ import annotations
@@ -131,24 +132,19 @@ def srr(inst: Instance) -> Matching:
     return Matching(assignment)
 
 
-def _unique_pref_category(inst: Instance) -> dict[int, Optional[int]]:
-    """Map each agent to her single preferential category (or None); error if
-    any agent is eligible for two."""
-    out: dict[int, Optional[int]] = {i: None for i in range(inst.n)}
+def _check_classical(inst: Instance) -> None:
+    """The classical reserve domain: every agent is eligible for at most one
+    preferential category, and each one's eligible agents are ranked
+    strictly in baseline order."""
+    owned: set[int] = set()
     for c in inst.preferential_ids:
         for a in inst.agents_eligible_for(c):
-            if out[a] is not None:
+            if a in owned:
                 raise PreconditionError(
                     f"agent {inst.agent_names[a]!r} is eligible for more than one "
                     "preferential category"
                 )
-            out[a] = c
-    return out
-
-
-def _check_consistent_priorities(inst: Instance) -> None:
-    """Eligible agents of every preferential category must be ranked strictly
-    in baseline order."""
+            owned.add(a)
     for c in inst.preferential_ids:
         ranking = inst.categories[c].ranking
         by_base = sorted(ranking.eligible_agents(), key=lambda a: inst.baseline_pos[a])
@@ -161,62 +157,33 @@ def _check_consistent_priorities(inst: Instance) -> None:
 
 
 def minimum_guarantees(inst: Instance) -> Matching:
-    """One pass down the baseline: take a unit of your preferential category
-    if one is free, otherwise an unreserved unit if any remains.
+    """Minimum guarantees: down the baseline, each agent takes a unit of her
+    preferential category while one is free, otherwise an unreserved unit
+    while any remains. Unreserved units come from the late pool.
 
-    Requires at most one preferential category per agent and
-    baseline-consistent priorities. Unreserved units come from the late pool.
+    This is srr with every unreserved unit processed last, and rr without an
+    unreserved category. Requires the classical domain: at most one
+    preferential category per agent and baseline-consistent priorities.
     """
-    owner = _unique_pref_category(inst)
-    _check_consistent_priorities(inst)
-    cl = inst.unreserved_last_id
-    q_cu = inst.unreserved_quota
-    used: dict[int, int] = {c: 0 for c in inst.preferential_ids}
-    granted = 0
-    assignment: dict[int, int] = {}
-    for i in inst.baseline:
-        c = owner[i]
-        if c is not None and used[c] < inst.categories[c].quota:
-            assignment[i] = c
-            used[c] += 1
-        elif granted < q_cu:
-            assignment[i] = cl
-            granted += 1
-    return Matching(assignment)
+    _check_classical(inst)
+    if not inst.has_unreserved:
+        return rr(inst)[0]
+    return srr(inst.with_split(0, inst.unreserved_quota))
 
 
 def over_and_above(inst: Instance) -> Matching:
-    """Unreserved units go first, down the baseline, but never to an agent her
-    preferential category will need; the preferential categories are then
-    filled with their highest-priority unmatched agents.
+    """Over-and-above: unreserved units go first, down the baseline, to every
+    agent her preferential category does not need; each preferential
+    category then takes its highest-priority unmatched eligible agents.
+    Unreserved units come from the early pool.
 
-    Same preconditions as minimum_guarantees. Unreserved units come from the
-    early pool.
+    This is srr with every unreserved unit processed first, and rr without
+    an unreserved category. Same domain as minimum_guarantees.
     """
-    owner = _unique_pref_category(inst)
-    _check_consistent_priorities(inst)
-    cf = inst.unreserved_first_id
-    q_cu = inst.unreserved_quota
-    assignment: dict[int, int] = {}
-    granted = 0
-    for i in inst.baseline:
-        if granted >= q_cu:
-            break
-        c = owner[i]
-        if c is not None:
-            others = sum(1 for j in inst.agents_eligible_for(c)
-                         if j != i and j not in assignment)
-            if others < inst.categories[c].quota:
-                continue
-        assignment[i] = cf
-        granted += 1
-    for c in inst.preferential_ids:
-        elig = [a for a in inst.agents_eligible_for(c) if a not in assignment]
-        elig.sort(key=lambda a: inst.position(c, a))
-        take = min(inst.categories[c].quota, len(inst.agents_eligible_for(c)))
-        for a in elig[:take]:
-            assignment[a] = c
-    return Matching(assignment)
+    _check_classical(inst)
+    if not inst.has_unreserved:
+        return rr(inst)[0]
+    return srr(inst.with_split(inst.unreserved_quota, 0))
 
 
 def deferred_acceptance(inst: Instance, prefs: Mapping[int, Sequence[int]]) -> Matching:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -152,6 +153,28 @@ def test_bounds_are_enforced():
         rr_outcome_set(inst)
     with pytest.raises(OracleBoundError):
         verify_characterization(inst)
+
+
+def test_walk_budget_stops_a_dense_instance_under_the_agent_bound():
+    # 12 agents is well under the agent bound, but the axiom side's walk ran
+    # for minutes here before the node budget
+    inst = random_instance(12, 4, max_quota=4, eligibility_density=0.9, tie_prob=0.4,
+                           seed=0, unreserved=4)
+    start = time.perf_counter()
+    with pytest.raises(OracleBoundError, match="nodes"):
+        axiom_satisfying_set(inst)
+    assert time.perf_counter() - start < 20
+
+
+def test_walk_budget_is_counted_in_both_walks(monkeypatch):
+    inst = random_instance(8, 3, eligibility_density=0.7, seed=0)
+    monkeypatch.setattr(oracle, "MAX_WALK_NODES", 10)
+    with pytest.raises(OracleBoundError, match="10 nodes"):
+        list(enumerate_matchings(inst))
+    with pytest.raises(OracleBoundError, match="10 nodes"):
+        axiom_satisfying_set(inst)
+    with pytest.raises(OracleBoundError, match="10 nodes"):
+        rr_outcome_set(inst)
 
 
 def test_characterization_at_eight_agents():
