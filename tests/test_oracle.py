@@ -156,8 +156,8 @@ def test_bounds_are_enforced():
 
 
 def test_walk_budget_stops_a_dense_instance_under_the_agent_bound():
-    # 12 agents is well under the agent bound, but the axiom side's walk ran
-    # for minutes here before the node budget
+    # 12 agents is well under the agent bound, yet without the node budget
+    # the axiom side's walk runs for minutes
     inst = random_instance(12, 4, max_quota=4, eligibility_density=0.9, tie_prob=0.4,
                            seed=0, unreserved=4)
     start = time.perf_counter()
