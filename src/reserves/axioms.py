@@ -5,7 +5,8 @@ AxiomReport carrying concrete witnesses for each violation found, capped at a
 configurable count. The two harnesses re-run a rule, named as on the command
 line (``rr``, ``srr`` or ``soft``, the keys of ``HARNESS_RULES``), under
 enumerated priority decreases of unmatched agents, so their verdicts are
-relative to the tested manipulation space. srr and soft run at the split the
+relative to the tested manipulation space; ``harness_reports`` gives both
+from one re-run per manipulation. srr and soft run at the split the
 instance carries, which every manipulated instance keeps. A manipulated
 instance outside the rule's domain is a report the agent cannot make under
 that rule: it is skipped, and the report's note counts it.
@@ -13,6 +14,8 @@ that rule: it is skipped, and the report's note counts it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -123,12 +126,16 @@ def check_nonwasteful(inst: Instance, m: Matching,
                       max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
     """No unit may sit idle while an eligible agent is unmatched."""
     validate_matching(inst, m)
-    counts = {c: m.count_in(c) for c in range(len(inst.categories))}
-    bad = [WasteWitness(i, c)
-           for i in range(inst.n) if not m.is_matched(i)
-           for c in inst.eligible_categories(i)
-           if counts[c] < inst.categories[c].quota]
-    return _report("nonwasteful", bad, max_witnesses)
+    counts = Counter(m.assignment.values())
+    bad = sorted((i, c) for c, cat in enumerate(inst.categories) if counts[c] < cat.quota
+                 for i in inst.agents_eligible_for(c) if not m.is_matched(i))
+    return _report("nonwasteful", [WasteWitness(i, c) for i, c in bad], max_witnesses)
+
+
+def _preferential_optimum(inst: Instance) -> int:
+    """The most agents an eligibility-compliant matching can place in
+    preferential categories."""
+    return _RejectionEngine.of(inst, inst.preferential_ids).size()
 
 
 def check_max_size(inst: Instance, m: Matching,
@@ -138,7 +145,10 @@ def check_max_size(inst: Instance, m: Matching,
     elig = check_eligibility(inst, m)
     if not elig.holds:
         raise ValidationError("max-size is defined only for eligibility-compliant matchings")
-    optimum = _RejectionEngine.of(inst, range(len(inst.categories))).size()
+    # the unreserved pools admit every agent, so on top of a maximum
+    # preferential matching they fill every unit or seat everyone left over
+    pref = _preferential_optimum(inst)
+    optimum = pref + min(inst.unreserved_quota, inst.n - pref)
     bad = [] if m.size() == optimum else [SizeGapWitness(m.size(), optimum)]
     return _report("max_size", bad, max_witnesses)
 
@@ -148,8 +158,8 @@ def check_max_beneficiary(inst: Instance, m: Matching,
     """As many agents as possible must be matched into preferential categories."""
     validate_matching(inst, m)
     pref = set(inst.preferential_ids)
-    found = sum(1 for _, c in m.pairs() if c in pref)
-    optimum = _RejectionEngine.of(inst, inst.preferential_ids).size()
+    found = sum(1 for c in m.assignment.values() if c in pref)
+    optimum = _preferential_optimum(inst)
     bad = [] if found == optimum else [SizeGapWitness(found, optimum)]
     return _report("max_beneficiary", bad, max_witnesses)
 
@@ -163,22 +173,39 @@ def check_order_preservation(inst: Instance, m: Matching,
         raise ValidationError("order preservation needs the unreserved category pair")
     cf, cl = inst.unreserved_first_id, inst.unreserved_last_id
     validate_matching(inst, m)
-    pref = set(inst.preferential_ids)
+
+    def holders(position: Callable[[int, int], int]) -> dict[int, list[tuple[int, int]]]:
+        """Each pool's holders as (position, agent), best first."""
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for i, c in m.assignment.items():
+            groups.setdefault(c, []).append((position(c, i), i))
+        for group in groups.values():
+            group.sort()
+        return groups
+
+    # clause 1 compares in the early pool's ranking, which is the baseline
+    base = inst.baseline_pos
+    by_baseline = holders(lambda c, i: base[i])
+    by_pool = holders(inst.position)
     bad = []
-    for i, ci in m.pairs():
-        for j, cj in m.pairs():
-            if i == j:
-                continue
-            # clause 1: j holds an early unreserved unit although i, stuck in a
-            # later pool, outranks her there and j could take i's seat
-            if cj == cf and (ci in pref or ci == cl) and \
-                    inst.position(cj, i) < inst.position(cj, j) and inst.eligible(j, ci):
-                bad.append(OrderWitness(1, i, j, ci, cj))
-            # clause 2: i holds a late unreserved unit although she outranks j
-            # in j's earlier category and is eligible for it
-            if ci == cl and (cj in pref or cj == cf) and \
-                    inst.position(cj, i) < inst.position(cj, j) and inst.eligible(i, cj):
-                bad.append(OrderWitness(2, i, j, ci, cj))
+    # clause 1: j holds an early unreserved unit although i, stuck in a later
+    # pool, outranks her there and j could take i's seat
+    later = [c for c in (*inst.preferential_ids, cl) if c in by_baseline]
+    for pj, j in by_baseline.get(cf, ()):
+        for ci in later:
+            if inst.eligible(j, ci):
+                group = by_baseline[ci]
+                bad.extend(OrderWitness(1, i, j, ci, cf)
+                           for _, i in group[:bisect_left(group, (pj,))])
+    # clause 2: i holds a late unreserved unit although she outranks j
+    # in j's earlier category and is eligible for it
+    earlier = [c for c in (*inst.preferential_ids, cf) if c in by_pool]
+    for _, i in by_pool.get(cl, ()):
+        for cj in earlier:
+            if inst.eligible(i, cj):
+                group = by_pool[cj]
+                bad.extend(OrderWitness(2, i, j, cl, cj)
+                           for _, j in group[bisect_left(group, (inst.position(cj, i) + 1,)):])
     bad.sort(key=lambda w: (w.clause, w.agent_early, w.agent_late))
     return _report("order_preservation", bad, max_witnesses)
 
@@ -214,6 +241,34 @@ def _harness_note(budget: int, skipped: int) -> str:
     return note
 
 
+def harness_reports(rule: str, inst: Instance, budget: int = 8,
+                    max_witnesses: int = MAX_WITNESSES) -> dict[str, AxiomReport]:
+    """The strategyproofness and weak non-bossiness reports, by axiom name,
+    from one re-run of ``rule`` per enumerated priority decrease of each
+    unmatched agent."""
+    fn = _rule_fn(rule)
+    base = fn(inst)
+    pos = inst.baseline_pos
+    manipulations, bossy = [], []
+    skipped = 0
+    for i in range(inst.n):
+        if base.is_matched(i):
+            continue
+        for idx, after in _manipulated_outcomes(fn, inst, i, budget):
+            if after is None:
+                skipped += 1
+                continue
+            if after.is_matched(i):
+                manipulations.append(ManipulationWitness(i, idx, False, True))
+            flipped = base.assignment.keys() ^ after.assignment.keys()
+            bossy.extend(NonBossinessWitness(i, idx, j, base.is_matched(j), after.is_matched(j))
+                         for j in sorted(flipped) if pos[i] < pos[j])
+    note = _harness_note(budget, skipped)
+    return {"strategyproofness": _report("strategyproofness", manipulations, max_witnesses,
+                                         note),
+            "weak_nonbossiness": _report("weak_nonbossiness", bossy, max_witnesses, note)}
+
+
 def check_strategyproofness(rule: str, inst: Instance, budget: int = 8,
                             max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
     """No unmatched agent may become matched by lowering her own reports.
@@ -221,40 +276,11 @@ def check_strategyproofness(rule: str, inst: Instance, budget: int = 8,
     Exhaustive over hide-subsets of each unmatched agent's preferential
     eligibilities; single-tier demotions are added up to ``budget``.
     """
-    fn = _rule_fn(rule)
-    base = fn(inst)
-    bad = []
-    skipped = 0
-    for i in range(inst.n):
-        if base.is_matched(i):
-            continue
-        for idx, after in _manipulated_outcomes(fn, inst, i, budget):
-            if after is None:
-                skipped += 1
-            elif after.is_matched(i):
-                bad.append(ManipulationWitness(i, idx, False, True))
-    return _report("strategyproofness", bad, max_witnesses, _harness_note(budget, skipped))
+    return harness_reports(rule, inst, budget, max_witnesses)["strategyproofness"]
 
 
 def check_weak_nonbossiness(rule: str, inst: Instance, budget: int = 8,
                             max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
     """An unmatched agent's priority decrease may not flip the matched status
     of anyone below her in the baseline."""
-    fn = _rule_fn(rule)
-    base = fn(inst)
-    bad = []
-    skipped = 0
-    for i in range(inst.n):
-        if base.is_matched(i):
-            continue
-        below = [j for j in range(inst.n)
-                 if inst.baseline_pos[i] < inst.baseline_pos[j]]
-        for idx, after in _manipulated_outcomes(fn, inst, i, budget):
-            if after is None:
-                skipped += 1
-                continue
-            for j in below:
-                if base.is_matched(j) != after.is_matched(j):
-                    bad.append(NonBossinessWitness(i, idx, j, base.is_matched(j),
-                                                   after.is_matched(j)))
-    return _report("weak_nonbossiness", bad, max_witnesses, _harness_note(budget, skipped))
+    return harness_reports(rule, inst, budget, max_witnesses)["weak_nonbossiness"]

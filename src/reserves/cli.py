@@ -270,14 +270,16 @@ def _evaluate(work: Instance, matching: Matching, names: Sequence[str],
         names = [("eligibility" if a == "max_size" else a) for a in names
                  if a != "max_size" or "eligibility" not in names]
     reports = []
+    harness: dict[str, axioms.AxiomReport] = {}
     for axiom in names:
-        check = getattr(axioms, f"check_{axiom}")
         if axiom not in HARNESS_AXIOMS:
-            reports.append(check(work, matching))
+            reports.append(getattr(axioms, f"check_{axiom}")(work, matching))
         elif rule is None:
             raise ValidationError(f"axiom {axiom!r} needs --rule, not a fixed matching")
         else:
-            reports.append(check(rule, work, budget=budget))
+            # both harnesses come from one pass over the manipulated instances
+            harness = harness or axioms.harness_reports(rule, work, budget=budget)
+            reports.append(harness[axiom])
     return reports
 
 

@@ -1,17 +1,18 @@
 import random
+import time
 
 import pytest
 
 from conftest import make_instance
-from reserves.axioms import (EnvyWitness, check_eligibility, check_max_beneficiary,
-                             check_max_size, check_nonwasteful,
+from reserves.axioms import (EnvyWitness, OrderWitness, WasteWitness, check_eligibility,
+                             check_max_beneficiary, check_max_size, check_nonwasteful,
                              check_order_preservation, check_respect_priorities,
                              check_strategyproofness, check_weak_nonbossiness)
 from reserves.generator import random_instance
 from reserves.graph import reduced_graph
 from reserves.model import Matching, ValidationError
 from reserves.oracle import enumerate_matchings
-from reserves.rules import PreconditionError, rr
+from reserves.rules import PreconditionError, rr, srr
 
 # matchings of the running example, keyed by the usual enumeration
 MU = {
@@ -80,6 +81,84 @@ def test_respect_priorities_matches_pairwise_reference():
             assert rep.witnesses == tuple(ref[:cap]), seed
             assert (rep.holds, rep.witnesses_total) == (not ref, len(ref)), seed
     assert violations > 100
+
+
+def _nonwasteful_reference(inst, m):
+    """Every unmatched agent against every category she is eligible for."""
+    counts = {c: m.count_in(c) for c in range(len(inst.categories))}
+    return [WasteWitness(i, c)
+            for i in range(inst.n) if not m.is_matched(i)
+            for c in inst.eligible_categories(i)
+            if counts[c] < inst.categories[c].quota]
+
+
+def _order_preservation_reference(inst, m):
+    """Every ordered pair of matched agents compared directly."""
+    cf, cl = inst.unreserved_first_id, inst.unreserved_last_id
+    pref = set(inst.preferential_ids)
+    bad = []
+    for i, ci in m.pairs():
+        for j, cj in m.pairs():
+            if i == j:
+                continue
+            if cj == cf and (ci in pref or ci == cl) and \
+                    inst.position(cj, i) < inst.position(cj, j) and inst.eligible(j, ci):
+                bad.append(OrderWitness(1, i, j, ci, cj))
+            if ci == cl and (cj in pref or cj == cf) and \
+                    inst.position(cj, i) < inst.position(cj, j) and inst.eligible(i, cj):
+                bad.append(OrderWitness(2, i, j, ci, cj))
+    bad.sort(key=lambda w: (w.clause, w.agent_early, w.agent_late))
+    return bad
+
+
+def _random_matching(rng, inst, ineligible):
+    """A random matching within quota; eligible pairs only unless ``ineligible``."""
+    room = [cat.quota for cat in inst.categories]
+    assignment = {}
+    for a in rng.sample(range(inst.n), rng.randint(0, inst.n)):
+        options = [c for c, left in enumerate(room) if left and (ineligible or inst.eligible(a, c))]
+        if options:
+            c = rng.choice(options)
+            room[c] -= 1
+            assignment[a] = c
+    return Matching(assignment)
+
+
+def test_nonwasteful_and_order_preservation_match_pairwise_references():
+    witnesses = {"nonwasteful": 0, "order_preservation": 0}
+    for seed in range(3000):
+        rng = random.Random(seed)
+        q = rng.randint(1, 6)
+        inst = random_instance(rng.randint(1, 25), rng.randint(0, 4), max_quota=3,
+                               eligibility_density=rng.choice((0.3, 0.7)),
+                               tie_prob=rng.choice((0.0, 0.5)), seed=seed, unreserved=q)
+        first = rng.choice((0, q, rng.randint(0, q)))
+        inst = inst.with_split(first, q - first)
+        m = _random_matching(rng, inst, ineligible=rng.random() < 0.3)
+        for check, reference in ((check_nonwasteful, _nonwasteful_reference),
+                                 (check_order_preservation, _order_preservation_reference)):
+            ref = reference(inst, m)
+            for cap in (1, 3, 10, 1000):
+                rep = check(inst, m, max_witnesses=cap)
+                assert (rep.holds, rep.witnesses, rep.witnesses_total, rep.note) == \
+                    (not ref, tuple(ref[:cap]), len(ref), None), (seed, rep.axiom, cap)
+            witnesses[rep.axiom] += len(ref)
+    assert witnesses["nonwasteful"] > 10000 and witnesses["order_preservation"] > 1000
+
+
+def test_checkers_scale_with_the_matching():
+    """Order preservation and non-wastefulness on srr's output at n=10,000
+    (about 3,300 matched agents): the pairwise order-preservation loop took
+    7 s here, the per-agent waste loop 0.17 s."""
+    inst = random_instance(10000, 50, max_quota=50, eligibility_density=0.05, tie_prob=0.4,
+                           seed=77, unreserved=2000).with_split(1000, 1000)
+    m = srr(inst)
+    for check in (check_order_preservation, check_nonwasteful):
+        t0 = time.perf_counter()
+        rep = check(inst, m)
+        elapsed = time.perf_counter() - t0
+        assert rep.holds, rep
+        assert elapsed < 1.0, (rep.axiom, elapsed)
 
 
 def test_nonwasteful(running):

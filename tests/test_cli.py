@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC
+from conftest import EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC, SCAN_DOC
 import reserves
 from reserves import axioms, oracle
-from reserves.cli import main
-from reserves.model import Matching
+from reserves.cli import main, report_doc
+from reserves.model import Matching, enumerate_priority_decreases
+from reserves.rules import rr
 
 
 def write(tmp_path, name, doc):
@@ -102,6 +103,25 @@ def test_check_rule_output_all_axioms(tmp_path, capsys):
     names = {r["axiom"] for r in reports}
     assert "strategyproofness" in names and "order_preservation" in names
     assert all(r["holds"] for r in reports)
+
+
+def test_check_runs_the_rule_once_per_manipulation_for_both_harnesses(
+        tmp_path, capsys, monkeypatch, scan):
+    calls = []
+    rule = axioms.HARNESS_RULES["rr"]
+    monkeypatch.setitem(axioms.HARNESS_RULES, "rr",
+                        lambda inst: calls.append(inst) or rule(inst))
+    code, reports = run(capsys, ["check", "--rule", "rr", "--instance",
+                                 write(tmp_path, "i.json", SCAN_DOC),
+                                 "--axioms", "strategyproofness,weak_nonbossiness"])
+    base, _ = rr(scan)
+    decreases = sum(len(list(enumerate_priority_decreases(scan, i, 8)))
+                    for i in range(scan.n) if not base.is_matched(i))
+    assert code == 0 and decreases > 1
+    assert len(calls) == 1 + decreases
+    alone = [check("rr", scan, budget=8)
+             for check in (axioms.check_strategyproofness, axioms.check_weak_nonbossiness)]
+    assert reports == [report_doc(scan, r) for r in alone]
 
 
 MATCHING_NAMES = ["eligibility", "respect_priorities", "nonwasteful", "max_size",

@@ -79,6 +79,25 @@ def test_max_matching_size_equals_reference():
             assert got == pref, (seed, split)
 
 
+def test_max_size_optimum_where_the_unreserved_pools_outnumber_the_rest():
+    """check_max_size adds min(unreserved quota, agents left over) to the
+    preferential optimum: cases where the min takes the agents left over,
+    only an unreserved category, and no category at all."""
+    cases = [random_instance(8 + seed, 1 + seed % 4, max_quota=2, eligibility_density=0.4,
+                             tie_prob=0.4, seed=900 + seed, unreserved=6 + seed)
+             for seed in range(12)]
+    cases += [random_instance(n, 0, seed=n, unreserved=u) for n, u in ((5, 3), (5, 9))]
+    cases.append(random_instance(4, 0, seed=1))
+    binding = 0
+    for inst in cases:
+        pref = reference_size(inst, cats=inst.preferential_ids)
+        binding += inst.unreserved_quota > inst.n - pref
+        optimum = reference_size(inst)
+        report = check_max_size(inst, Matching())
+        assert report.witnesses == ((SizeGapWitness(0, optimum),) if optimum else ())
+    assert binding >= 8
+
+
 def test_rr_ms_tested_equals_reference():
     for seed, inst in instances():
         _, trace = rr(inst)
