@@ -241,13 +241,12 @@ def _harness_note(budget: int, skipped: int) -> str:
     return note
 
 
-def harness_reports(rule: str, inst: Instance, budget: int = 8,
+def harness_reports(rule: str, inst: Instance, base: Matching, budget: int = 8,
                     max_witnesses: int = MAX_WITNESSES) -> dict[str, AxiomReport]:
     """The strategyproofness and weak non-bossiness reports, by axiom name,
     from one re-run of ``rule`` per enumerated priority decrease of each
-    unmatched agent."""
+    agent unmatched in ``base``, the rule's matching on ``inst``."""
     fn = _rule_fn(rule)
-    base = fn(inst)
     pos = inst.baseline_pos
     manipulations, bossy = [], []
     skipped = 0
@@ -276,11 +275,13 @@ def check_strategyproofness(rule: str, inst: Instance, budget: int = 8,
     Exhaustive over hide-subsets of each unmatched agent's preferential
     eligibilities; single-tier demotions are added up to ``budget``.
     """
-    return harness_reports(rule, inst, budget, max_witnesses)["strategyproofness"]
+    base = _rule_fn(rule)(inst)
+    return harness_reports(rule, inst, base, budget, max_witnesses)["strategyproofness"]
 
 
 def check_weak_nonbossiness(rule: str, inst: Instance, budget: int = 8,
                             max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
     """An unmatched agent's priority decrease may not flip the matched status
     of anyone below her in the baseline."""
-    return harness_reports(rule, inst, budget, max_witnesses)["weak_nonbossiness"]
+    base = _rule_fn(rule)(inst)
+    return harness_reports(rule, inst, base, budget, max_witnesses)["weak_nonbossiness"]

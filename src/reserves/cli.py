@@ -278,7 +278,7 @@ def _evaluate(work: Instance, matching: Matching, names: Sequence[str],
             raise ValidationError(f"axiom {axiom!r} needs --rule, not a fixed matching")
         else:
             # both harnesses come from one pass over the manipulated instances
-            harness = harness or axioms.harness_reports(rule, work, budget=budget)
+            harness = harness or axioms.harness_reports(rule, work, matching, budget=budget)
             reports.append(harness[axiom])
     return reports
 

@@ -3,22 +3,20 @@
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .model import Instance, ValidationError, instance_from_document
 
 
 def random_instance_document(agents: int, categories: int, max_quota: int = 2,
                              eligibility_density: float = 0.5, tie_prob: float = 0.0,
-                             seed: int = 0, unreserved: int = 0,
-                             split: Optional[tuple[int, int]] = None) -> dict:
+                             seed: int = 0, unreserved: int = 0) -> dict:
     """Deterministic random instance document.
 
     Each (agent, category) pair is eligible with probability
     ``eligibility_density``; eligible agents are shuffled and adjacent ones
     merge into one tier with probability ``tie_prob``. The baseline is a
     random permutation. ``unreserved > 0`` appends an unreserved category of
-    that quota (split defaults to all units processed last).
+    that quota, every unit of which is processed last.
     """
     if agents < 0 or categories < 0 or max_quota < 1 or unreserved < 0:
         raise ValidationError("sizes must be nonnegative (max_quota at least 1)")
@@ -49,14 +47,11 @@ def random_instance_document(agents: int, categories: int, max_quota: int = 2,
     doc = {"agents": names, "baseline": baseline, "categories": cats}
     if unreserved > 0:
         cats.append({"name": "u", "quota": unreserved, "kind": "unreserved"})
-        if split is not None:
-            doc["unreserved_split"] = {"first": split[0], "last": split[1]}
     return doc
 
 
 def random_instance(agents: int, categories: int, max_quota: int = 2,
                     eligibility_density: float = 0.5, tie_prob: float = 0.0,
-                    seed: int = 0, unreserved: int = 0,
-                    split: Optional[tuple[int, int]] = None) -> Instance:
+                    seed: int = 0, unreserved: int = 0) -> Instance:
     return instance_from_document(random_instance_document(
-        agents, categories, max_quota, eligibility_density, tie_prob, seed, unreserved, split))
+        agents, categories, max_quota, eligibility_density, tie_prob, seed, unreserved))

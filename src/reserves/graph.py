@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import _kernels
 from .model import Instance, Matching, ValidationError
@@ -195,19 +195,18 @@ class _RejectionEngine:
         return self._as_matching(self._solve()[0])
 
 
-def reservation_graph(inst: Instance, cats: Optional[Iterable[int]] = None) -> ReservationGraph:
-    """Eligibility graph over all agents and the given categories (default all)."""
-    cat_ids = _check_cats(inst, cats)
+def reservation_graph(inst: Instance) -> ReservationGraph:
+    """Eligibility graph over all agents and all categories."""
+    cat_ids = range(len(inst.categories))
     right = tuple((c, inst.categories[c].quota) for c in cat_ids)
     edges = frozenset((a, c) for c in cat_ids for a in inst.agents_eligible_for(c))
     return ReservationGraph(frozenset(range(inst.n)), right, edges, inst.baseline)
 
 
-def reduced_graph(inst: Instance, cats: Optional[Iterable[int]] = None,
-                  rejected: Iterable[int] = ()) -> ReservationGraph:
+def reduced_graph(inst: Instance, rejected: Iterable[int] = ()) -> ReservationGraph:
     """Reservation graph after rejections: rejected agents leave, and an edge
     (j, c) survives only if no rejected agent strictly outranks j in c."""
-    cat_ids = _check_cats(inst, cats)
+    cat_ids = range(len(inst.categories))
     rej = set(rejected)
     for r in rej:
         if not 0 <= r < inst.n:
@@ -226,39 +225,23 @@ def reduced_graph(inst: Instance, cats: Optional[Iterable[int]] = None,
     return ReservationGraph(frozenset(left), right, frozenset(edges), order)
 
 
-def _engine(g: ReservationGraph, order: Sequence[int]) -> _RejectionEngine:
+def _engine(g: ReservationGraph) -> _RejectionEngine:
     col = {c: j for j, (c, _) in enumerate(g.right)}
     rows: list[list[tuple[int, int]]] = [[] for _ in range(max(g.left, default=-1) + 1)]
     for a, c in g.edges:
         rows[a].append((col[c], 0))
     return _RejectionEngine(rows, [c for c, _ in g.right], [q for _, q in g.right], g.left,
-                            order)
+                            g.scan_order)
 
 
 def max_matching_size(g: ReservationGraph) -> int:
     """Number of edges in a maximum matching (agents once, categories up to capacity)."""
-    return _engine(g, g.scan_order).size()
+    return _engine(g).size()
 
 
-def max_matching(g: ReservationGraph, order: Optional[Sequence[int]] = None) -> Matching:
-    """A maximum matching, deterministic for a fixed tiebreak order: greedy
-    seeding then augmentation, scanning agents in ``order`` (default: the
-    graph's scan order) and categories in declaration order."""
-    if order is None:
-        order = g.scan_order
-    elif sorted(order) != sorted(g.left):
-        raise ValidationError("tiebreak order must enumerate the left vertices")
-    engine = _engine(g, order)
+def max_matching(g: ReservationGraph) -> Matching:
+    """A maximum matching, deterministic for a fixed tiebreak: greedy seeding
+    then augmentation, scanning agents in the graph's scan order and
+    categories in declaration order."""
+    engine = _engine(g)
     return engine._as_matching(engine.match)
-
-
-def _check_cats(inst: Instance, cats: Optional[Iterable[int]]) -> tuple[int, ...]:
-    if cats is None:
-        return tuple(range(len(inst.categories)))
-    out = tuple(cats)
-    for c in out:
-        if not 0 <= c < len(inst.categories):
-            raise ValidationError(f"unknown category id {c}")
-    if len(set(out)) != len(out):
-        raise ValidationError("duplicate category ids")
-    return out

@@ -36,8 +36,8 @@ from .model import Instance, Kind, Matching
 Canonical = tuple[tuple[int, int], ...]
 MatchingSet = frozenset[Canonical]
 
-MAX_ENUM_AGENTS = 19
-MAX_ORDERING_AGENTS = 19
+#: agents an instance may have; read at each call, like MAX_WALK_NODES
+MAX_AGENTS = 19
 #: nodes one matching walk may visit before it gives up
 MAX_WALK_NODES = 2_000_000
 
@@ -46,16 +46,16 @@ class OracleBoundError(RuntimeError):
     """The requested enumeration exceeds the configured resource guard."""
 
 
-def _check_bound(inst: Instance, max_agents: int) -> None:
-    if inst.n > max_agents:
-        raise OracleBoundError(f"instance has {inst.n} agents, bound is {max_agents}")
+def _check_bound(inst: Instance) -> None:
+    if inst.n > MAX_AGENTS:
+        raise OracleBoundError(f"instance has {inst.n} agents, bound is {MAX_AGENTS}")
 
 
 def _walk_bound() -> OracleBoundError:
     return OracleBoundError(f"matching walk exceeds {MAX_WALK_NODES} nodes")
 
 
-def enumerate_matchings(inst: Instance, max_agents: int = MAX_ENUM_AGENTS) -> Iterator[Matching]:
+def enumerate_matchings(inst: Instance) -> Iterator[Matching]:
     """Yield every eligibility-compliant matching exactly once.
 
     Depth-first over agents in id order; each agent tries her eligible
@@ -63,7 +63,7 @@ def enumerate_matchings(inst: Instance, max_agents: int = MAX_ENUM_AGENTS) -> It
     pruned, so this is the reference the maximum-only walks are tested
     against.
     """
-    _check_bound(inst, max_agents)
+    _check_bound(inst)
     return (Matching(m) for m in _graph_matchings(reservation_graph(inst)))
 
 
@@ -160,7 +160,7 @@ def _maximum_matchings(adj: Sequence[Sequence[tuple[int, int]]], quota: Sequence
     return found
 
 
-def axiom_satisfying_set(inst: Instance, max_agents: int = MAX_ENUM_AGENTS) -> MatchingSet:
+def axiom_satisfying_set(inst: Instance) -> MatchingSet:
     """All eligibility-compliant, priority-respecting matchings of maximum
     size, enumerated from the instance alone (independent of the kernels).
 
@@ -168,7 +168,7 @@ def axiom_satisfying_set(inst: Instance, max_agents: int = MAX_ENUM_AGENTS) -> M
     taken over them. The rule side's matchings have the overall maximum
     size, so were that larger, the two sides would differ and
     ``verify_characterization`` would still report it."""
-    _check_bound(inst, max_agents)
+    _check_bound(inst)
     adj = [[(c, inst.position(c, a)) for c in inst.eligible_categories(a)]
            for a in range(inst.n)]
     return frozenset(_maximum_matchings(adj, [c.quota for c in inst.categories], True))
@@ -181,14 +181,14 @@ def _symmetrize(inst: Instance) -> Instance:
     return Instance(inst.agent_names, cats, inst.baseline)
 
 
-def rr_outcome_set(inst: Instance, max_agents: int = MAX_ORDERING_AGENTS) -> MatchingSet:
+def rr_outcome_set(inst: Instance) -> MatchingSet:
     """Union over every baseline ordering of all maximum matchings of the
     final reduced graph left by the rejection scan.
 
     The final rejected sets are the maximal F-sets of the symmetrized
     instance (``_final_rejected_sets``), and each one's reduced graph has
     its maximum matchings enumerated once."""
-    _check_bound(inst, max_agents)
+    _check_bound(inst)
     base = _symmetrize(inst)
     out: set[Canonical] = set()
     for rejected in _final_rejected_sets(base):
@@ -269,12 +269,11 @@ class CharacterizationReport:
     only_axiom_side: tuple[Canonical, ...]
 
 
-def verify_characterization(inst: Instance,
-                            max_agents: int = MAX_ORDERING_AGENTS) -> CharacterizationReport:
+def verify_characterization(inst: Instance) -> CharacterizationReport:
     """Check that the rejection-scan outcomes over all orderings are exactly
     the eligibility-compliant, priority-respecting, maximum-size matchings."""
-    rule_side = rr_outcome_set(inst, max_agents)
-    axiom_side = axiom_satisfying_set(inst, max(max_agents, MAX_ENUM_AGENTS))
+    rule_side = rr_outcome_set(inst)
+    axiom_side = axiom_satisfying_set(inst)
     return CharacterizationReport(
         rule_side == axiom_side,
         tuple(sorted(rule_side - axiom_side)),

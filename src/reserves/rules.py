@@ -16,9 +16,9 @@ leftover preferential units to ineligible agents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .graph import _RejectionEngine, _check_cats
+from .graph import _RejectionEngine
 from .model import Instance, Matching, ValidationError
 
 
@@ -42,8 +42,8 @@ class RrTrace:
     ms_total: int
 
 
-def rr(inst: Instance, cats: Optional[Iterable[int]] = None) -> tuple[Matching, RrTrace]:
-    """Rejection scan over the given categories (default all).
+def rr(inst: Instance) -> tuple[Matching, RrTrace]:
+    """Rejection scan over every category.
 
     Scans the baseline from lowest to highest priority and rejects an agent
     exactly when the reduced reservation graph without her still admits a
@@ -51,23 +51,11 @@ def rr(inst: Instance, cats: Optional[Iterable[int]] = None) -> tuple[Matching, 
     up matched, so the output is a maximum-size matching that complies with
     eligibility and leaves no rejected agent with justified envy.
     """
-    if cats is not None:
-        cats = tuple(cats)
-        if not cats:
-            raise ValidationError("cats must be a non-empty subset of categories")
-    cats = _check_cats(inst, cats)
-    engine = _RejectionEngine.of(inst, cats)
-    trace = _rr_trace(engine)
-    return engine.fresh_matching(), trace
-
-
-def _rr_trace(engine: _RejectionEngine) -> RrTrace:
-    """Run the rejection scan on an engine holding a maximum matching of the
-    full graph; the engine ends on the final reduced graph."""
+    engine = _RejectionEngine.of(inst, range(len(inst.categories)))
     ms_total = engine.size()
     decisions = _reject_scan(engine)
     rejected = frozenset(d.agent for d in decisions if d.rejected)
-    return RrTrace(rejected, decisions, ms_total)
+    return engine.fresh_matching(), RrTrace(rejected, decisions, ms_total)
 
 
 def _reject_scan(engine: _RejectionEngine) -> tuple[RrDecision, ...]:

@@ -267,7 +267,7 @@ def test_weak_nonbossiness_scan_instance(scan):
 def test_harnesses_skip_manipulations_outside_soft_domain():
     # a hide puts the agent below the agents absent from the ranking, which
     # soft rejects against the baseline: that report is not available to her
-    inst = random_instance(5, 2, seed=7, unreserved=1, split=(0, 1))
+    inst = random_instance(5, 2, seed=7, unreserved=1)
     for check in (check_strategyproofness, check_weak_nonbossiness):
         soft = check("soft", inst, budget=8)
         assert soft.holds

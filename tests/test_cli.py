@@ -11,6 +11,7 @@ from conftest import EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC, SCAN_DOC
 import reserves
 from reserves import axioms, oracle
 from reserves.cli import main, report_doc
+from reserves.generator import random_instance
 from reserves.model import Matching, enumerate_priority_decreases
 from reserves.rules import rr
 
@@ -118,10 +119,26 @@ def test_check_runs_the_rule_once_per_manipulation_for_both_harnesses(
     decreases = sum(len(list(enumerate_priority_decreases(scan, i, 8)))
                     for i in range(scan.n) if not base.is_matched(i))
     assert code == 0 and decreases > 1
-    assert len(calls) == 1 + decreases
+    # the unmanipulated outcome is rr's own, run once by the CLI
+    assert len(calls) == decreases
     alone = [check("rr", scan, budget=8)
              for check in (axioms.check_strategyproofness, axioms.check_weak_nonbossiness)]
     assert reports == [report_doc(scan, r) for r in alone]
+
+
+def test_verify_runs_rr_once_plus_once_per_manipulation(capsys, monkeypatch):
+    calls = []
+    rule = axioms.HARNESS_RULES["rr"]
+    monkeypatch.setitem(axioms.HARNESS_RULES, "rr",
+                        lambda inst: calls.append(inst) or rule(inst))
+    assert main(["verify", "--count", "1", "--max-agents", "6", "--categories", "2",
+                 "--unreserved", "1", "--seed", "4"]) == 0
+    inst = random_instance(6, 2, unreserved=1, seed=4)
+    base, _ = rr(inst)
+    decreases = sum(len(list(enumerate_priority_decreases(inst, i, 4)))
+                    for i in range(inst.n) if not base.is_matched(i))
+    assert decreases > 1
+    assert len(calls) == 1 + decreases
 
 
 MATCHING_NAMES = ["eligibility", "respect_priorities", "nonwasteful", "max_size",

@@ -22,8 +22,9 @@ def test_reservation_graph_scan(scan):
     assert g.edges == {(0, 0), (1, 0), (3, 0), (0, 1), (2, 1)}
 
 
-def test_reservation_graph_no_categories(running):
-    g = reservation_graph(running, cats=())
+def test_reservation_graph_no_categories():
+    g = reservation_graph(make_instance({"agents": ["a", "b"], "baseline": ["b", "a"],
+                                         "categories": []}))
     assert g.right == () and g.edges == frozenset()
     assert max_matching_size(g) == 0
 
@@ -117,8 +118,6 @@ def test_dropping_an_edge_never_increases_matching_size():
 
 
 def test_invalid_graph_inputs(running):
-    with pytest.raises(ValidationError):
-        reservation_graph(running, cats=(9,))
     with pytest.raises(ValidationError):
         reduced_graph(running, rejected={11})
     with pytest.raises(ValidationError):

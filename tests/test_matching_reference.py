@@ -11,7 +11,7 @@ import pytest
 
 from reserves.axioms import SizeGapWitness, check_max_beneficiary, check_max_size
 from reserves.generator import random_instance
-from reserves.graph import max_matching, max_matching_size, reservation_graph
+from reserves.graph import ReservationGraph, max_matching, max_matching_size, reservation_graph
 from reserves.model import Matching
 from reserves.rules import rr, srr
 
@@ -62,7 +62,7 @@ def test_max_matching_size_equals_reference():
         assert max_matching_size(g) == ref, seed
         order = list(g.scan_order)
         random.Random(seed).shuffle(order)
-        m = max_matching(g, order)
+        m = max_matching(ReservationGraph(g.left, g.right, g.edges, tuple(order)))
         assert m.size() == ref and set(m.pairs()) <= g.edges, seed
         assert all(m.count_in(c) <= q for c, q in g.right), seed
         for check, optimum in ((check_max_size, ref), (check_max_beneficiary, pref)):

@@ -136,7 +136,7 @@ def test_enumerate_all_outputs_are_decreases():
         for inst, budget in (
                 (random_instance(5, 2, seed=seed, eligibility_density=0.6, tie_prob=0.3), 6),
                 (random_instance(6, 3, seed=seed, eligibility_density=0.6, tie_prob=0.5,
-                                 unreserved=2, split=(1, 1)), 11)):
+                                 unreserved=2).with_split(1, 1), 11)):
             for i in range(inst.n):
                 outs = list(enumerate_priority_decreases(inst, i, budget=budget))
                 assert all(priority_decrease_holds(inst, out, i) for out in outs)

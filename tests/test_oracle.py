@@ -143,16 +143,28 @@ def test_outcome_set_equals_plain_union_at_seven_tied_agents():
 
 
 def test_bounds_are_enforced():
-    inst = random_instance(oracle.MAX_ENUM_AGENTS + 1, 2, seed=0)
+    inst = random_instance(oracle.MAX_AGENTS + 1, 2, seed=0)
     with pytest.raises(OracleBoundError):
         list(enumerate_matchings(inst))
     with pytest.raises(OracleBoundError):
         axiom_satisfying_set(inst)
-    inst = random_instance(oracle.MAX_ORDERING_AGENTS + 1, 2, seed=0)
     with pytest.raises(OracleBoundError):
         rr_outcome_set(inst)
     with pytest.raises(OracleBoundError):
         verify_characterization(inst)
+
+
+def test_one_agent_bound_is_read_at_each_call(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_AGENTS", 5)
+    entry_points = (lambda inst: list(enumerate_matchings(inst)), axiom_satisfying_set,
+                    rr_outcome_set, verify_characterization)
+    over = random_instance(6, 2, seed=0)
+    for run in entry_points:
+        with pytest.raises(OracleBoundError, match="6 agents, bound is 5"):
+            run(over)
+    at = random_instance(5, 2, seed=0)
+    for run in entry_points:
+        run(at)
 
 
 def test_walk_budget_stops_a_dense_instance_under_the_agent_bound():
@@ -181,7 +193,7 @@ def test_characterization_at_eight_agents():
     for seed in range(12):
         inst = random_instance(8, 2 + seed % 4, max_quota=2, eligibility_density=0.6,
                                tie_prob=0.4 * (seed % 2), seed=seed, unreserved=seed % 3)
-        assert verify_characterization(inst, 8).ok, seed
+        assert verify_characterization(inst).ok, seed
 
 
 def test_characterization_beyond_eight_agents():

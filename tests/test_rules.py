@@ -13,7 +13,6 @@ from reserves.axioms import (check_eligibility, check_max_beneficiary,
                              check_respect_priorities)
 from reserves.generator import random_instance
 from reserves.graph import max_matching, max_matching_size, reduced_graph, reservation_graph
-from reserves.model import ValidationError
 from reserves.rules import (PreconditionError, deferred_acceptance, minimum_guarantees,
                             over_and_above, rr, soft_reserves, srr)
 
@@ -83,22 +82,6 @@ def test_rr_nothing_eligible():
     matching, trace = rr(inst)
     assert matching.size() == 0
     assert trace.rejected == frozenset({0, 1})
-
-
-def test_rr_rejects_explicit_empty_cats(running):
-    with pytest.raises(ValidationError):
-        rr(running, cats=())
-
-
-@pytest.mark.parametrize("cats, message", [
-    ((-1,), "unknown category id -1"),
-    ((5,), "unknown category id 5"),
-    ((0, 0), "duplicate category ids"),
-])
-def test_rr_rejects_unknown_or_duplicate_cats(cats, message):
-    inst = random_instance(6, 2, seed=3)
-    with pytest.raises(ValidationError, match=message):
-        rr(inst, cats=cats)
 
 
 def test_rr_matches_naive_reference():
@@ -179,9 +162,8 @@ def test_srr_no_unreserved_units_reduces_to_rr():
                {"name": "c", "quota": 1, "kind": "preferential",
                 "tiers": [["a"], ["b"]], "cutoff": 2},
                {"name": "u", "quota": 0, "kind": "unreserved"}]}
-    inst = make_instance(doc)
-    matching = srr(inst.with_split(0, 0))
-    rr_matching, _ = rr(inst, cats=inst.preferential_ids)
+    matching = srr(make_instance(doc).with_split(0, 0))
+    rr_matching, _ = rr(make_instance({**doc, "categories": doc["categories"][:1]}))
     assert matching.matched_agents() == rr_matching.matched_agents()
 
 
