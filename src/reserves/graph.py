@@ -4,7 +4,9 @@ The reservation graph of an instance joins each agent to every category she
 is eligible for; rejecting agents both removes them and prunes any edge a
 rejected agent outranks. Matching sizes of such graphs drive every rule, and
 ``_RejectionEngine`` computes them all: only it knows the CSR layout and
-calls the kernels.
+calls the kernels. It lays the CSR out straight from each category's
+eligible tiers, and undoes a tentative removal from a trail record that
+holds what the removal changed, copying the matching only when a pair died.
 """
 
 from __future__ import annotations
@@ -44,45 +46,45 @@ class ReservationGraph:
 class _RejectionEngine:
     """A maximum matching of a CSR graph, re-augmented after tentative removals.
 
-    ``rows[a]`` lists agent ``a``'s edges as (column, priority position);
-    column ``j`` is category ``cat_ids[j]`` with capacity ``quotas[j]``. An
-    edge is live while its agent is alive and its position is at most its
-    column's threshold, which pruning lowers. Agents are scanned in ``order``.
-    The same edges are also kept by column, in priority order, for the
-    backward searches of ``test_remove``. Each ``test_remove`` pushes a
-    snapshot that its ``keep`` or ``undo`` pops, so tests may nest and be
-    undone innermost first; undoing a test also undoes the tests kept
-    inside it.
+    ``tiers[j]`` lists column ``j``'s agents by priority position, and column
+    ``j`` is category ``cat_ids[j]`` with capacity ``quotas[j]``. The edges
+    are laid out by column in priority order (a tier's agents in id order)
+    for backward searches, and from that by row for forward ones. An edge is
+    live while its agent is alive and its position is at most its column's
+    threshold, which pruning lowers. Agents are scanned in ``order``. Each
+    ``test_remove`` pushes a trail record that its ``keep`` or ``undo`` pops,
+    so tests may nest and be undone innermost first; undoing a test also
+    undoes the tests kept inside it.
     """
 
-    def __init__(self, rows: Sequence[Iterable[tuple[int, int]]], cat_ids: Sequence[int],
+    def __init__(self, n: int, tiers: Sequence[Sequence[Sequence[int]]], cat_ids: Sequence[int],
                  quotas: Sequence[int], active: Iterable[int], order: Iterable[int]):
-        n = len(rows)
         n_cols = len(cat_ids)
         self.cat_ids = tuple(cat_ids)
-        self.indptr = [0]
-        self.cats: list[int] = []
-        self.epos: list[int] = []
-        # pos[j][a]: priority position of agent a in column j (edges only)
-        self.pos = [[0] * n for _ in range(n_cols)]
-        cats, epos, pos_of = self.cats, self.epos, self.pos
-        col_agents: list[list[int]] = [[] for _ in range(n_cols)]
-        for a, row in enumerate(rows):
-            for j, pos in sorted(row):
-                cats.append(j)
-                epos.append(pos)
-                pos_of[j][a] = pos
-                col_agents[j].append(a)
-            self.indptr.append(len(cats))
-        # the same edges by column, each column's agents in priority order
         self.cptr = [0]
         self.cagents: list[int] = []
         self.cpos: list[int] = []
-        for agents, pos_j in zip(col_agents, pos_of):
-            agents.sort(key=pos_j.__getitem__)
-            self.cagents += agents
-            self.cpos += map(pos_j.__getitem__, agents)
-            self.cptr.append(len(self.cagents))
+        # pos[j][a]: priority position of agent a in column j (edges only)
+        self.pos = [[0] * n for _ in range(n_cols)]
+        cagents, cpos = self.cagents, self.cpos
+        deg = [0] * n
+        for col, pos_j in zip(tiers, self.pos):
+            for t, tier in enumerate(col):
+                for a in sorted(tier):
+                    cagents.append(a)
+                    cpos.append(t)
+                    pos_j[a] = t
+                    deg[a] += 1
+            self.cptr.append(len(cagents))
+        self.indptr = [0, *accumulate(deg)]
+        self.cats = [0] * len(cagents)
+        self.epos = [0] * len(cagents)
+        nxt = self.indptr[:-1]  # each row's next free edge, filled column by column
+        for j in range(n_cols):
+            for k in range(self.cptr[j], self.cptr[j + 1]):
+                e = nxt[cagents[k]]
+                nxt[cagents[k]] = e + 1
+                self.cats[e], self.epos[e] = j, cpos[k]
         self.cap = [min(q, max(n, 1)) for q in quotas]
         self.slot_base = [0, *accumulate(self.cap)][:n_cols]
         self.thr = [_kernels.THR_INF] * n_cols
@@ -90,23 +92,19 @@ class _RejectionEngine:
         self.alive = [a in active for a in range(n)]
         self.order = list(order)
         self.match, self.used, self.slots = self._solve()
+        self._size = sum(self.used)
         self._fill_args = (self.cptr, self.cagents, self.cpos, self.thr, self.cap, self.used,
                            self.slot_base, self.slots)
-        self._snaps: list[tuple] = []
+        self._trail: list[list] = []
 
     @classmethod
     def of(cls, inst: Instance, cat_ids: Sequence[int]) -> "_RejectionEngine":
         """Engine on ``inst``'s eligibility edges into ``cat_ids``, weighted
-        by priority position, every agent alive, scanning in baseline order."""
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]
-        for j, c in enumerate(cat_ids):
-            ranking = inst.categories[c].ranking
-            # an eligible agent's priority position is her tier index
-            for t, tier in enumerate(ranking.tiers[:ranking.cutoff]):
-                for a in tier:
-                    rows[a].append((j, t))
-        return cls(rows, cat_ids, [inst.categories[c].quota for c in cat_ids], range(inst.n),
-                   inst.baseline)
+        by priority position (an eligible agent's tier index), every agent
+        alive, scanning in baseline order."""
+        rankings = [inst.categories[c].ranking for c in cat_ids]
+        return cls(inst.n, [r.tiers[:r.cutoff] for r in rankings], cat_ids,
+                   [inst.categories[c].quota for c in cat_ids], range(inst.n), inst.baseline)
 
     def _solve(self) -> tuple[list[int], list[int], list[int]]:
         """A maximum matching of the live graph from scratch: (match, used, slots)."""
@@ -123,7 +121,7 @@ class _RejectionEngine:
         return Matching({a: self.cat_ids[c] for a, c in enumerate(match) if c >= 0})
 
     def size(self) -> int:
-        return len(self.match) - self.match.count(-1)
+        return self._size
 
     def test_remove(self, i: int, prune: bool) -> int:
         """Tentatively drop agent ``i`` (pruning outranked edges when asked)
@@ -133,8 +131,10 @@ class _RejectionEngine:
         Only the pairs that die are unmatched: ``i``'s own and, in a column
         whose threshold pruning lowers, those of agents now ranked below it.
         The new graph is a subgraph of the old one, so its maximum is at most
-        the current size: if no pair died the matching is still maximum, and
-        otherwise re-augmentation stops once the lost pairs are made up.
+        the current size: if no pair died the matching is still maximum and
+        the trail record holds ``i`` and the lowered thresholds as (column,
+        old value). Otherwise it first copies ``match``/``used``/``slots``,
+        and re-augmentation stops once the lost pairs are made up.
 
         Re-augmentation is one backward pass from the columns with spare
         capacity (``_kernels.fill_pass``). Every augmenting path joins a
@@ -145,18 +145,20 @@ class _RejectionEngine:
         engine's own matching can differ from ``fresh_matching``; only the
         size leaves it, and a maximum size is unique."""
         match, thr, used, slots, alive = self.match, self.thr, self.used, self.slots, self.alive
-        self._snaps.append((match[:], thr[:], used[:], slots[:], alive[:]))
         alive[i] = False
         hit = set()  # columns that may hold a dead pair
         if match[i] >= 0:
             hit.add(match[i])
+        lowered = []
         if prune:
             cats, epos = self.cats, self.epos
             for k in range(self.indptr[i], self.indptr[i + 1]):
                 c = cats[k]
                 if epos[k] < thr[c]:
+                    lowered.append((c, thr[c]))
                     thr[c] = epos[k]
                     hit.add(c)
+        self._trail.append([[i], lowered, None])
         dropped = 0
         for c in hit:
             pos, t = self.pos[c], thr[c]
@@ -165,29 +167,43 @@ class _RejectionEngine:
             for s in range(base, end):
                 a = slots[s]
                 if alive[a] and pos[a] <= t:
-                    slots[out] = a
+                    slots[out] = a  # a no-op until the first pair dies
                     out += 1
                 else:
+                    if not dropped:
+                        self._trail[-1][2] = (match[:], used[:], slots[:], self._size)
                     match[a] = -1
+                    dropped += 1
             used[c] = out - base
-            dropped += end - out
         if dropped:
-            _kernels.fill_pass(alive, match, *self._fill_args, dropped)
-        return self.size()
+            self._size += _kernels.fill_pass(alive, match, *self._fill_args, dropped) - dropped
+        return self._size
 
     def keep(self) -> None:
-        """Commit the latest pending test_remove."""
-        self._snaps.pop()
+        """Commit the latest pending test_remove. Inside a pending test, its
+        record joins that one: agents and thresholds are appended, and the
+        copies of the first test to drop a pair are kept."""
+        agents, lowered, saved = self._trail.pop()
+        if self._trail:
+            outer = self._trail[-1]
+            outer[0] += agents
+            outer[1] += lowered
+            outer[2] = outer[2] or saved
 
     def undo(self) -> None:
-        """Revert the latest pending test_remove (the lists are restored in
-        place, since ``_fill_args`` holds them)."""
-        match, thr, used, slots, alive = self._snaps.pop()
-        self.match[:] = match
-        self.thr[:] = thr
-        self.used[:] = used
-        self.slots[:] = slots
-        self.alive[:] = alive
+        """Revert the latest pending test_remove: revive its agents, restore
+        its thresholds newest first and, if a pair died, copy the matching
+        back (in place, since ``_fill_args`` holds the lists)."""
+        agents, lowered, saved = self._trail.pop()
+        for a in agents:
+            self.alive[a] = True
+        for c, t in reversed(lowered):
+            self.thr[c] = t
+        if saved is not None:
+            match, used, slots, self._size = saved
+            self.match[:] = match
+            self.used[:] = used
+            self.slots[:] = slots
 
     def fresh_matching(self) -> Matching:
         """Deterministic maximum matching of the current reduced graph,
@@ -226,11 +242,11 @@ def reduced_graph(inst: Instance, rejected: Iterable[int] = ()) -> ReservationGr
 
 
 def _engine(g: ReservationGraph) -> _RejectionEngine:
-    col = {c: j for j, (c, _) in enumerate(g.right)}
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(max(g.left, default=-1) + 1)]
+    agents: dict[int, list[int]] = {c: [] for c, _ in g.right}
     for a, c in g.edges:
-        rows[a].append((col[c], 0))
-    return _RejectionEngine(rows, [c for c, _ in g.right], [q for _, q in g.right], g.left,
+        agents[c].append(a)
+    return _RejectionEngine(max(g.left, default=-1) + 1, [[agents[c]] for c, _ in g.right],
+                            [c for c, _ in g.right], [q for _, q in g.right], g.left,
                             g.scan_order)
 
 

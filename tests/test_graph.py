@@ -221,9 +221,15 @@ def test_engine_sizes_in_nested_test_and_undo_sequences():
         _walk(engine, inst, engine.size(), frozenset(), frozenset(range(inst.n)), set())
 
 
+def _state(engine):
+    return ([list(x) for x in (engine.match, engine.used, engine.slots, engine.thr,
+                               engine.alive)], engine.size())
+
+
 def test_engine_sizes_under_random_keep_and_undo():
     # scarce instances, so that removals often drop several pairs at once;
-    # a test kept while an outer one is pending is undone with the outer one
+    # a test kept while an outer one is pending is undone with the outer one,
+    # and every undo restores the engine exactly as it was before its test
     rng = random.Random(5)
     for seed in range(60):
         inst = random_instance(rng.randint(8, 30), rng.randint(2, 6),
@@ -233,17 +239,21 @@ def test_engine_sizes_under_random_keep_and_undo():
         engine = _engine(inst)
         # removals per level: the committed ones, then one list per pending test
         levels: list[list[tuple[int, bool]]] = [[]]
+        before = []  # the engine's state before each pending test
         for _ in range(2 * inst.n):
             alive = [a for a in range(inst.n) if engine.alive[a]]
             if len(levels) > 1 and (not alive or rng.random() < 0.4):
                 done = levels.pop()
+                state = before.pop()
                 if rng.random() < 0.5:
                     engine.keep()
                     levels[-1] += done
                 else:
                     engine.undo()
+                    assert _state(engine) == state, (seed, levels)
             elif alive:
                 test = (rng.choice(alive), rng.random() < 0.7)
+                before.append(_state(engine))
                 engine.test_remove(*test)
                 levels.append([test])
             removed = [test for level in levels for test in level]

@@ -111,11 +111,14 @@ def test_rr_ms_tested_matches_fresh_matching_when_many_pairs_die():
                 rejected.add(d.agent)
 
 
-def test_rr_scan_at_3000_agents_and_50_categories():
-    # 1452 of the 3000 tests lower the size; re-augmenting each from every
-    # unmatched agent took about 33 s here, from the spare columns about 1 s
-    inst = random_instance(3000, 50, max_quota=50, eligibility_density=0.5,
-                           tie_prob=0.0, seed=77)
+@pytest.mark.parametrize("agents,density", [(3000, 0.5), (30000, 0.05)],
+                         ids=["3000-agents", "30000-agents"])
+def test_rr_scan_at_50_categories(agents, density):
+    # at 3000 agents, 1452 of the 3000 tests lower the size; re-augmenting
+    # each from every unmatched agent took about 33 s, from the spare columns
+    # about 1 s. At 30000 agents, copying the engine's lists at every test
+    # took about 11 s; the trail, which copies only when a pair dies, 0.7 s
+    inst = random_instance(agents, 50, max_quota=50, eligibility_density=density, seed=77)
     t0 = time.perf_counter()
     matching, trace = rr(inst)
     elapsed = time.perf_counter() - t0
