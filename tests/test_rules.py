@@ -117,7 +117,7 @@ def test_rr_scan_at_50_categories(agents, density):
     # at 3000 agents, 1452 of the 3000 tests lower the size; re-augmenting
     # each from every unmatched agent took about 33 s, from the spare columns
     # about 1 s. At 30000 agents, copying the engine's lists at every test
-    # took about 11 s; the trail, which copies only when a pair dies, 0.7 s
+    # took about 12 s; the trail, which copies only when a pair dies, about 1 s
     inst = random_instance(agents, 50, max_quota=50, eligibility_density=density, seed=77)
     t0 = time.perf_counter()
     matching, trace = rr(inst)
