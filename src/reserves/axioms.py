@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .graph import _RejectionEngine
@@ -132,9 +133,12 @@ def check_nonwasteful(inst: Instance, m: Matching,
     return _report("nonwasteful", [WasteWitness(i, c) for i, c in bad], max_witnesses)
 
 
+@lru_cache(maxsize=1)
 def _preferential_optimum(inst: Instance) -> int:
     """The most agents an eligibility-compliant matching can place in
-    preferential categories."""
+    preferential categories. The last instance's answer is kept, so that
+    ``check_max_size`` and ``check_max_beneficiary`` on one instance build
+    one engine."""
     return _RejectionEngine.of(inst, inst.preferential_ids).size()
 
 

@@ -48,10 +48,11 @@ class _RejectionEngine:
 
     ``tiers[j]`` lists column ``j``'s agents by priority position, and column
     ``j`` is category ``cat_ids[j]`` with capacity ``quotas[j]``. The edges
-    are laid out by column in priority order (a tier's agents in id order)
-    for backward searches, and from that by row for forward ones. An edge is
-    live while its agent is alive and its position is at most its column's
-    threshold, which pruning lowers. Agents are scanned in ``order``. Each
+    are laid out by column in priority order (a tier's agents in id order;
+    only tiers of two or more are sorted) for backward searches, and from
+    that by row for forward ones. An edge is live while its agent is alive
+    and its position is at most its column's threshold, which pruning
+    lowers. Agents are scanned in ``order``. Each
     ``test_remove`` pushes a trail record that its ``keep`` or ``undo`` pops,
     so tests may nest and be undone innermost first; undoing a test also
     undoes the tests kept inside it.
@@ -70,7 +71,7 @@ class _RejectionEngine:
         deg = [0] * n
         for col, pos_j in zip(tiers, self.pos):
             for t, tier in enumerate(col):
-                for a in sorted(tier):
+                for a in sorted(tier) if len(tier) > 1 else tier:
                     cagents.append(a)
                     cpos.append(t)
                     pos_j[a] = t

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterator, Optional, Union
 
 #: Marker for the empty slot in priority comparisons (an agent strictly above
@@ -54,10 +55,19 @@ class PriorityRanking:
     cutoff: int
 
     def validate(self, n: int) -> None:
-        if not 0 <= self.cutoff <= len(self.tiers):
-            raise ValidationError(f"cutoff {self.cutoff} out of range for {len(self.tiers)} tiers")
+        """Raise ValidationError unless the cutoff is in range and the tiers
+        are nonempty and hold distinct ids in ``range(n)``. One bulk check
+        decides; only a ranking that fails it is walked agent by agent, to
+        name the first offender."""
+        tiers, cutoff = self.tiers, self.cutoff
+        flat = list(chain.from_iterable(tiers))
+        if (0 <= cutoff <= len(tiers) and all(tiers) and len(set(flat)) == len(flat)
+                and (not flat or 0 <= min(flat) and max(flat) < n)):
+            return
+        if not 0 <= cutoff <= len(tiers):
+            raise ValidationError(f"cutoff {cutoff} out of range for {len(tiers)} tiers")
         seen: set[int] = set()
-        for tier in self.tiers:
+        for tier in tiers:
             if not tier:
                 raise ValidationError("empty tier in priority ranking")
             for a in tier:
@@ -127,12 +137,15 @@ class Instance:
         firsts = kinds.count(Kind.UNRESERVED_FIRST)
         if firsts > 1 or kinds.count(Kind.UNRESERVED_LAST) != firsts:
             raise ValidationError("unreserved categories must form one (first, last) pair")
+        expected = PriorityRanking(tuple(zip(self.baseline)), n)
         for c in self.categories:
             if c.quota < 0:
                 raise ValidationError(f"negative quota for category {c.name!r}")
-            c.ranking.validate(n)
+            try:
+                c.ranking.validate(n)
+            except ValidationError as e:
+                raise ValidationError(f"category {c.name!r}: {e}") from None
             if c.kind.is_unreserved:
-                expected = PriorityRanking(tuple((a,) for a in self.baseline), n)
                 if c.ranking != expected:
                     raise ValidationError(
                         f"unreserved category {c.name!r} must rank every agent "
@@ -364,11 +377,31 @@ def _resolve(name, ids: dict[str, int], where: str) -> int:
     return ids[name]
 
 
+def _resolve_all(names: list, ids: dict[str, int], where: str) -> tuple[int, ...]:
+    """The ids of ``names``, looked up in one pass at C speed; if a lookup
+    fails, ``_resolve`` walks the names again and raises the first bad one's
+    error."""
+    try:
+        return tuple(map(ids.__getitem__, names))
+    except (KeyError, TypeError):  # an unknown name, or an unhashable one
+        for a in names:
+            _resolve(a, ids, where)
+        raise
+
+
 def _parse_tiers(tiers_doc: list, ids: dict[str, int], where: str) -> tuple[tuple[int, ...], ...]:
+    """Resolve a ranking's tiers of agent names to tiers of ids. The names of
+    all tiers resolve in one ``_resolve_all`` pass, and the tiers are cut
+    back out of it: zipped when every tier holds one agent, as in strict
+    rankings, else sliced by tier length."""
     for tier in tiers_doc:
         if not isinstance(tier, list):
             raise ParseError(f"each tier in {where} must be a JSON array")
-    return tuple(tuple(_resolve(a, ids, where) for a in tier) for tier in tiers_doc)
+    flat = _resolve_all(list(chain.from_iterable(tiers_doc)), ids, where)
+    if len(flat) == len(tiers_doc) and all(tiers_doc):
+        return tuple(zip(flat))
+    ends = list(accumulate(map(len, tiers_doc)))
+    return tuple(flat[s:e] for s, e in zip([0, *ends], ends))
 
 
 def parse_instance(data: Union[bytes, str]) -> Instance:
@@ -418,7 +451,7 @@ def instance_from_document(doc: dict) -> Instance:
     n = len(agent_names)
 
     baseline_names = _require(doc, "baseline", list, "document")
-    baseline = tuple(_resolve(a, ids, "baseline") for a in baseline_names)
+    baseline = _resolve_all(baseline_names, ids, "baseline")
     if sorted(baseline) != list(range(n)):
         raise ValidationError("baseline must list every agent exactly once")
 
@@ -445,7 +478,7 @@ def instance_from_document(doc: dict) -> Instance:
             if unreserved_doc is not None:
                 raise ValidationError("more than one unreserved category")
             unreserved_doc = (name, quota, cd)
-            base_ranking = PriorityRanking(tuple((a,) for a in baseline), n)
+            base_ranking = PriorityRanking(tuple(zip(baseline)), n)
             if "tiers" in cd:
                 tiers = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),
                                      ids, f"category {name!r}")

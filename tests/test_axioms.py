@@ -1,15 +1,17 @@
+import json
 import random
 import time
 
 import pytest
 
 from conftest import make_instance
+from reserves import cli
 from reserves.axioms import (EnvyWitness, OrderWitness, WasteWitness, check_eligibility,
                              check_max_beneficiary, check_max_size, check_nonwasteful,
                              check_order_preservation, check_respect_priorities,
                              check_strategyproofness, check_weak_nonbossiness)
-from reserves.generator import random_instance
-from reserves.graph import reduced_graph
+from reserves.generator import random_instance, random_instance_document
+from reserves.graph import _RejectionEngine, reduced_graph
 from reserves.model import Matching, ValidationError
 from reserves.oracle import enumerate_matchings
 from reserves.rules import PreconditionError, rr, srr
@@ -203,6 +205,22 @@ def test_max_beneficiary_without_preferential():
            "categories": [{"name": "u", "quota": 1, "kind": "unreserved"}]}
     inst = make_instance(doc)
     assert check_max_beneficiary(inst, Matching({})).holds
+
+
+def test_check_builds_the_preferential_engine_once(tmp_path, monkeypatch):
+    """max-size and max-beneficiary need one preferential optimum between them."""
+    inst, matching = tmp_path / "i.json", tmp_path / "m.json"
+    inst.write_text(json.dumps(random_instance_document(8, 3, seed=5, unreserved=2)))
+    given = ["--split", "1,1", "--instance", str(inst)]
+    assert cli.main(["allocate", "--rule", "srr", *given, "--out", str(matching)]) == 0
+    builds = []
+    of = _RejectionEngine.of.__func__
+    monkeypatch.setattr(_RejectionEngine, "of",
+                        classmethod(lambda cls, *args: builds.append(args) or of(cls, *args)))
+    code = cli.main(["check", *given, "--matching", str(matching), "--axioms", "all",
+                     "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert len(builds) == 1
 
 
 def test_order_preservation_holds_for_mg_outcome(reserve):

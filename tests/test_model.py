@@ -59,6 +59,57 @@ def test_parse_rejects_unreserved_priority_mismatch():
         parse_instance(json.dumps(doc))
 
 
+def _doc(tiers=(["a"],), cutoff=1, baseline=("a", "b")) -> dict:
+    return {"agents": ["a", "b"], "baseline": list(baseline),
+            "categories": [{"name": "c", "quota": 1, "kind": "preferential",
+                            "tiers": list(tiers), "cutoff": cutoff}]}
+
+
+NOT_A_STRING = "agent reference in category 'c' must be a string"
+UNKNOWN = "unknown agent 'zz' in category 'c'"
+EMPTY_TIER = "category 'c': empty tier in priority ranking"
+DUPLICATE = "category 'c': agent 0 appears in more than one tier"
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    (_doc([["a", 1]]), ParseError, NOT_A_STRING),
+    (_doc([[None]]), ParseError, NOT_A_STRING),
+    (_doc([[True]]), ParseError, NOT_A_STRING),
+    (_doc([["a", ["x"]]]), ParseError, NOT_A_STRING),
+    (_doc([[{"x": 1}]]), ParseError, NOT_A_STRING),
+    (_doc(["a"]), ParseError, "each tier in category 'c' must be a JSON array"),
+    (_doc([["zz"]]), ValidationError, UNKNOWN),
+    (_doc([["zz", 1]]), ValidationError, UNKNOWN),
+    (_doc([[1, "zz"]]), ParseError, NOT_A_STRING),
+    (_doc([["a"], []], 2), ValidationError, EMPTY_TIER),
+    (_doc([["a", "a"]]), ValidationError, DUPLICATE),
+    (_doc([["a"], ["a"]], 2), ValidationError, DUPLICATE),
+    (_doc([[], ["a"], ["a"]], 3), ValidationError, EMPTY_TIER),
+    (_doc([["a"], ["a"], []], 3), ValidationError, DUPLICATE),
+    (_doc([["a"]], 2), ValidationError, "category 'c': cutoff 2 out of range for 1 tiers"),
+    (_doc(baseline=["a", 1]), ParseError, "agent reference in baseline must be a string"),
+    (_doc(baseline=["a", ["b"]]), ParseError, "agent reference in baseline must be a string"),
+    (_doc(baseline=["a", "zz"]), ValidationError, "unknown agent 'zz' in baseline"),
+    (_doc(baseline=["a", "a"]), ValidationError, "baseline must list every agent exactly once"),
+], ids=["int", "null", "true", "list", "dict", "tier-not-array", "unknown", "unknown-then-int",
+        "int-then-unknown", "empty-tier", "duplicate-in-tier", "duplicate-across-tiers",
+        "empty-then-duplicate", "duplicate-then-empty", "cutoff", "baseline-int",
+        "baseline-list", "baseline-unknown", "baseline-duplicate"])
+def test_parse_error_class_and_message(doc, error, message):
+    """The first bad entry decides the error; ranking errors name their category."""
+    with pytest.raises(ValueError) as e:
+        parse_instance(json.dumps(doc))
+    assert (type(e.value), str(e.value)) == (error, message)
+
+
+@pytest.mark.parametrize("agent", [-1, 2])
+def test_ranking_validate_names_an_unknown_id(agent):
+    with pytest.raises(ValueError) as e:
+        PriorityRanking(((0,), (agent,)), 2).validate(2)
+    assert (type(e.value), str(e.value)) == (
+        ValidationError, f"unknown agent id {agent} in priority ranking")
+
+
 def test_quota_sum_is_unconstrained():
     doc = {"agents": ["a"], "baseline": ["a"],
            "categories": [{"name": "c", "quota": 7, "kind": "preferential",
