@@ -23,6 +23,13 @@ be reached. Both rely on Kuhn's lemma ("The Hungarian method for the
 assignment problem"): if no augmenting path starts at a vertex, none does
 after augmenting along other paths. It holds for columns and agents alike,
 so one pass over either side reaches maximum cardinality.
+
+Every pass also stops at the capacity bound. No matching holds more pairs
+than its columns hold units, so once the units are all placed (or, in
+``fill_pass``, once the lost pairs are made up) no agent can be seated and
+no augmenting path can end anywhere: the rest of the pass could only fail,
+and a failed search changes nothing. A pass therefore costs what the units
+need, not what the agents number.
 """
 
 from __future__ import annotations
@@ -31,9 +38,13 @@ THR_INF = 2**31
 
 
 def greedy(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots):
-    """Seed pass: first live category with spare capacity, in scan order."""
+    """Seed pass: first live category with spare capacity, in scan order,
+    until every unit is placed."""
     got = 0
+    room = sum(cap) - sum(used)
     for u in order:
+        if got == room:
+            break
         if not alive[u] or match[u] >= 0:
             continue
         for k in range(indptr[u], indptr[u + 1]):
@@ -71,16 +82,20 @@ def augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visi
 
 def augment_pass(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots):
     """One augmentation attempt per unmatched agent, in scan order. Starting
-    from any valid partial matching, this reaches maximum cardinality.
+    from any valid partial matching, this reaches maximum cardinality; it
+    stops once every unit is placed.
 
     ``visited`` is cleared only after a successful augmentation (Kuhn's dead
     marks): a category entered by a failed search cannot reach spare capacity
     until the matching changes, so skipping it leaves every search's path as
     it would be with a fresh ``visited``."""
     got = 0
+    room = sum(cap) - sum(used)
     n_cols = len(cap)
     visited = [False] * n_cols
     for u in order:
+        if got == room:
+            break
         if not alive[u] or match[u] >= 0:
             continue
         if augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visited):
@@ -132,6 +147,8 @@ def fill_pass(alive, match, cptr, cagents, cpos, thr, cap, used, slot_base, slot
     n_cols = len(cap)
     visited = [False] * n_cols
     for c in range(n_cols):
+        if got == need:
+            break
         while got < need and used[c] < cap[c] and not visited[c]:
             visited[c] = True
             if not fill(c, slot_base[c] + used[c], alive, match, cptr, cagents, cpos, thr,

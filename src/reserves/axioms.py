@@ -106,17 +106,23 @@ def check_respect_priorities(inst: Instance, m: Matching,
                              max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
     """No unmatched agent may strictly outrank a matched agent in her category."""
     validate_matching(inst, m)
-    unmatched = [j for j in range(inst.n) if not m.is_matched(j)]
+    matched = m.assignment
     # an unmatched agent can envy in c only if she outranks c's worst holder
     held: dict[int, list[tuple[int, int]]] = {}
     for i, c in m.pairs():
         held.setdefault(c, []).append((inst.position(c, i), i))
     bad = []
     for c, holders in held.items():
-        position = inst.categories[c].ranking.position
+        ranking = inst.categories[c].ranking
         worst = max(holders)[0]
-        for j in unmatched:
-            pj = position(j)
+        if worst > ranking.cutoff:
+            # agents tied with the empty slot are in no tier: try everyone
+            rivals = ((ranking.position(j), j) for j in range(inst.n) if j not in matched)
+        else:
+            # above the empty slot a tier's index is its agents' position
+            rivals = ((t, j) for t, tier in enumerate(ranking.tiers[:worst])
+                      for j in tier if j not in matched)
+        for pj, j in rivals:
             if pj < worst:
                 bad.extend(EnvyWitness(j, i, c) for pi, i in holders if pj < pi)
     bad.sort(key=lambda w: (w.envier, w.envied, w.category))
@@ -142,6 +148,19 @@ def _preferential_optimum(inst: Instance) -> int:
     return _RejectionEngine.of(inst, inst.preferential_ids).size()
 
 
+def _preferential_optimum_given(inst: Instance, m: Matching) -> int:
+    """``_preferential_optimum(inst)``, certified by ``m`` where it can be.
+
+    No matching places more agents in the preferential categories than
+    their quotas hold, so if ``m``'s eligible preferential pairs fill every
+    preferential unit, their count is the optimum and no engine is built.
+    Otherwise the engine answers."""
+    pref = set(inst.preferential_ids)
+    units = sum(inst.categories[c].quota for c in pref)
+    placed = sum(1 for i, c in m.assignment.items() if c in pref and inst.eligible(i, c))
+    return placed if placed == units else _preferential_optimum(inst)
+
+
 def check_max_size(inst: Instance, m: Matching,
                    max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
     """The matching must be as large as any eligibility-compliant matching.
@@ -151,7 +170,7 @@ def check_max_size(inst: Instance, m: Matching,
         raise ValidationError("max-size is defined only for eligibility-compliant matchings")
     # the unreserved pools admit every agent, so on top of a maximum
     # preferential matching they fill every unit or seat everyone left over
-    pref = _preferential_optimum(inst)
+    pref = _preferential_optimum_given(inst, m)
     optimum = pref + min(inst.unreserved_quota, inst.n - pref)
     bad = [] if m.size() == optimum else [SizeGapWitness(m.size(), optimum)]
     return _report("max_size", bad, max_witnesses)
@@ -163,7 +182,7 @@ def check_max_beneficiary(inst: Instance, m: Matching,
     validate_matching(inst, m)
     pref = set(inst.preferential_ids)
     found = sum(1 for c in m.assignment.values() if c in pref)
-    optimum = _preferential_optimum(inst)
+    optimum = _preferential_optimum_given(inst, m)
     bad = [] if found == optimum else [SizeGapWitness(found, optimum)]
     return _report("max_beneficiary", bad, max_witnesses)
 

@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import axioms, oracle
@@ -140,10 +139,13 @@ def _names_in_witness(inst: Instance, doc: dict) -> dict:
 
 
 def report_doc(inst: Instance, report: axioms.AxiomReport) -> dict:
-    doc = asdict(report)
-    doc["witnesses"] = [_names_in_witness(inst, w) for w in doc["witnesses"]]
-    if doc["note"] is None:
-        del doc["note"]
+    """The report as a JSON object, built shallowly: every field but the
+    witnesses is a scalar, and each witness holds ints only."""
+    doc = {"axiom": report.axiom, "holds": report.holds,
+           "witnesses": [_names_in_witness(inst, dict(vars(w))) for w in report.witnesses],
+           "witnesses_total": report.witnesses_total}
+    if report.note is not None:
+        doc["note"] = report.note
     return doc
 
 
@@ -264,15 +266,20 @@ def _evaluate(work: Instance, matching: Matching, names: Sequence[str],
               rule: Optional[str], budget: int) -> list[axioms.AxiomReport]:
     """Run each named axiom: matching checkers on (work, matching), harnesses
     on ``rule`` re-run over manipulations of ``work``."""
-    if "max_size" in names and not axioms.check_eligibility(work, matching).holds:
-        # max_size is defined only for compliant matchings: otherwise the
-        # eligibility report, with its witness, stands in for it, once
-        names = [("eligibility" if a == "max_size" else a) for a in names
-                 if a != "max_size" or "eligibility" not in names]
+    eligibility = None  # the pre-check's report, which the eligibility axiom reuses
+    if "max_size" in names:
+        eligibility = axioms.check_eligibility(work, matching)
+        if not eligibility.holds:
+            # max_size is defined only for compliant matchings: otherwise the
+            # eligibility report, with its witness, stands in for it, once
+            names = [("eligibility" if a == "max_size" else a) for a in names
+                     if a != "max_size" or "eligibility" not in names]
     reports = []
     harness: dict[str, axioms.AxiomReport] = {}
     for axiom in names:
-        if axiom not in HARNESS_AXIOMS:
+        if axiom == "eligibility" and eligibility is not None:
+            reports.append(eligibility)
+        elif axiom not in HARNESS_AXIOMS:
             reports.append(getattr(axioms, f"check_{axiom}")(work, matching))
         elif rule is None:
             raise ValidationError(f"axiom {axiom!r} needs --rule, not a fixed matching")

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import make_instance
 from reserves import cli
-from reserves.axioms import (EnvyWitness, OrderWitness, WasteWitness, check_eligibility,
+from reserves.axioms import (EnvyWitness, OrderWitness, SizeGapWitness, WasteWitness,
+                             _preferential_optimum, check_eligibility,
                              check_max_beneficiary, check_max_size, check_nonwasteful,
                              check_order_preservation, check_respect_priorities,
                              check_strategyproofness, check_weak_nonbossiness)
@@ -62,12 +63,20 @@ def _respect_priorities_reference(inst, m):
 
 
 def test_respect_priorities_matches_pairwise_reference():
-    violations = 0
-    for seed in range(300):
+    violations = below_slot = 0
+    for seed, cut in [(seed, cut) for seed in range(300) for cut in (False, True)]:
         rng = random.Random(seed)
-        inst = random_instance(rng.randint(1, 25), rng.randint(1, 4), max_quota=3,
-                               eligibility_density=rng.choice((0.3, 0.7)),
-                               tie_prob=rng.choice((0.0, 0.5)), seed=seed, unreserved=2)
+        doc = random_instance_document(rng.randint(1, 25), rng.randint(1, 4), max_quota=3,
+                                       eligibility_density=rng.choice((0.3, 0.7)),
+                                       tie_prob=rng.choice((0.0, 0.5)), seed=seed, unreserved=2)
+        if cut:
+            # the empty slot anywhere in the ranking, so that holders can sit
+            # below it, as soft's overflow grants do
+            cut_rng = random.Random(-seed)
+            for cat in doc["categories"]:
+                if cat["kind"] == "preferential":
+                    cat["cutoff"] = cut_rng.randint(0, len(cat["tiers"]))
+        inst = make_instance(doc)
         room = {c: cat.quota for c, cat in enumerate(inst.categories)}
         assignment = {}
         for a in rng.sample(range(inst.n), rng.randint(0, inst.n)):
@@ -78,11 +87,13 @@ def test_respect_priorities_matches_pairwise_reference():
         m = Matching(assignment)
         ref = _respect_priorities_reference(inst, m)
         violations += bool(ref)
+        below_slot += any(inst.position(c, i) > inst.categories[c].ranking.cutoff
+                          for i, c in m.pairs())
         for cap in (0, 3, 10, 1000):
             rep = check_respect_priorities(inst, m, max_witnesses=cap)
             assert rep.witnesses == tuple(ref[:cap]), seed
             assert (rep.holds, rep.witnesses_total) == (not ref, len(ref)), seed
-    assert violations > 100
+    assert violations > 200 and below_slot > 50, (violations, below_slot)
 
 
 def _nonwasteful_reference(inst, m):
@@ -208,7 +219,9 @@ def test_max_beneficiary_without_preferential():
 
 
 def test_check_builds_the_preferential_engine_once(tmp_path, monkeypatch):
-    """max-size and max-beneficiary need one preferential optimum between them."""
+    """max-size and max-beneficiary need at most one preferential engine
+    between them, and none when the matching fills every preferential unit
+    with eligible agents."""
     inst, matching = tmp_path / "i.json", tmp_path / "m.json"
     inst.write_text(json.dumps(random_instance_document(8, 3, seed=5, unreserved=2)))
     given = ["--split", "1,1", "--instance", str(inst)]
@@ -217,9 +230,30 @@ def test_check_builds_the_preferential_engine_once(tmp_path, monkeypatch):
     of = _RejectionEngine.of.__func__
     monkeypatch.setattr(_RejectionEngine, "of",
                         classmethod(lambda cls, *args: builds.append(args) or of(cls, *args)))
-    code = cli.main(["check", *given, "--matching", str(matching), "--axioms", "all",
-                     "--out", str(tmp_path / "report.json")])
-    assert code == 0
+    _preferential_optimum.cache_clear()
+    report = tmp_path / "report.json"
+    check = ["check", *given, "--matching", str(matching), "--out", str(report)]
+    # srr's matching fills c0, c1 and both units of c2: it certifies its own size
+    assert cli.main([*check, "--axioms", "all"]) == 0
+    assert builds == []
+    # without a0's unit in c1 the engine gives the optimum, once for both axioms
+    doc = json.loads(matching.read_text())
+    assert doc["assignment"].pop("a0") == "c1"
+    matching.write_text(json.dumps(doc))
+    assert cli.main([*check, "--axioms", "max_size,max_beneficiary"]) == 1
+    assert len(builds) == 1
+    gaps = {r["axiom"]: r["witnesses"] for r in json.loads(report.read_text())}
+    assert gaps == {"max_size": [{"found": 5, "optimum": 6}],
+                    "max_beneficiary": [{"found": 3, "optimum": 4}]}
+    # an ineligible pair fills the only unit, but just one agent is eligible
+    # for it: the count of placed agents proves nothing, and the engine finds
+    # the gap
+    builds.clear()
+    lone = make_instance({"agents": ["a", "b"], "baseline": ["a", "b"],
+                          "categories": [{"name": "c", "quota": 2, "kind": "preferential",
+                                          "tiers": [["a"]], "cutoff": 1}]})
+    rep = check_max_beneficiary(lone, Matching({0: 0, 1: 0}))
+    assert (rep.holds, rep.witnesses) == (False, (SizeGapWitness(2, 1),))
     assert len(builds) == 1
 
 
