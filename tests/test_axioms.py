@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -64,7 +65,7 @@ def _respect_priorities_reference(inst, m):
 
 def test_respect_priorities_matches_pairwise_reference():
     violations = below_slot = 0
-    for seed, cut in [(seed, cut) for seed in range(300) for cut in (False, True)]:
+    for seed, cut in itertools.product(range(300), (False, True)):
         rng = random.Random(seed)
         doc = random_instance_document(rng.randint(1, 25), rng.randint(1, 4), max_quota=3,
                                        eligibility_density=rng.choice((0.3, 0.7)),
