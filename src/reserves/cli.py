@@ -10,6 +10,9 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import axioms, oracle
@@ -120,10 +123,11 @@ def matching_doc(inst: Instance, m: Matching) -> dict[str, str]:
 
 def utilization_doc(inst: Instance, m: Matching) -> dict:
     names = category_display_names(inst)
+    used = Counter(m.assignment.values())
     out: dict[str, dict[str, int]] = {}
     for c, cat in enumerate(inst.categories):
         entry = out.setdefault(names[c], {"used": 0, "quota": 0})
-        entry["used"] += m.count_in(c)
+        entry["used"] += used[c]
         entry["quota"] += cat.quota
     return out
 
@@ -149,9 +153,66 @@ def report_doc(inst: Instance, report: axioms.AxiomReport) -> dict:
     return doc
 
 
+_INDENT = "  "
+_STRICT_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(depth: int):
+    """The C encoder with ``json.dumps(indent=2)``'s item separator at
+    ``depth``. An indent sends ``json`` to its pure-Python encoder, so the
+    newlines go into the separator instead."""
+    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": ")).encode
+
+
+def _strict(values) -> bool:
+    return _STRICT_SCALARS.issuperset(map(type, values))
+
+
+def _indented(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)``, character for character, in few C
+    encoder calls. A container of scalars and empty containers is one call,
+    and so is a list of nonempty dicts, or of nonempty lists, of strict
+    scalars: its item boundaries are rewritten with one replace. That is
+    safe because ``json`` escapes every control character in strings, so a
+    raw newline is always a separator, and no scalar ends in a closing
+    bracket or starts with an opening one. An empty container inside such
+    an item would break it (``[[[], []]]``)."""
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        return _encoder(0)(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    outer = "\n" + _INDENT * depth
+    inner = outer + _INDENT
+    if _strict(values) or all(type(v) in _STRICT_SCALARS
+                              or (isinstance(v, (list, tuple, dict)) and not v) for v in values):
+        text = _encoder(depth + 1)(obj)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if not isinstance(obj, dict):
+        kinds = set(map(type, obj))
+        if (kinds == {dict} or kinds <= {list, tuple}) and all(obj) and _strict(
+                chain.from_iterable(map(dict.values, obj) if dict in kinds else obj)):
+            text = _encoder(depth + 2)(obj)
+            open_, close = text[1], text[-2]
+            deeper = inner + _INDENT
+            text = text[2:-2].replace(close + "," + deeper + open_,
+                                      inner + close + "," + inner + open_ + deeper)
+            return "[" + inner + open_ + deeper + text + inner + close + outer + "]"
+        return "[" + inner + ("," + inner).join(_indented(v, depth + 1) for v in obj) + outer + "]"
+    if not all(isinstance(k, str) for k in obj):
+        return json.dumps(obj, indent=2).replace("\n", outer)
+    return "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(k) + ": " + _indented(v, depth + 1)
+        for k, v in obj.items()) + outer + "}"
+
+
 def _emit(args, payload: dict | list) -> None:
     if args.format == "json":
-        text = json.dumps(payload, indent=2)
+        text = _indented(payload)
     else:
         text = _as_table(payload)
     if args.out:

@@ -53,16 +53,17 @@ def rr(inst: Instance) -> tuple[Matching, RrTrace]:
     """
     engine = _RejectionEngine.of(inst, range(len(inst.categories)))
     ms_total = engine.size()
-    decisions = _reject_scan(engine)
+    decisions = tuple(RrDecision(i, size == ms_total, size) for i, size in _reject_scan(engine))
     rejected = frozenset(d.agent for d in decisions if d.rejected)
     return engine.fresh_matching(), RrTrace(rejected, decisions, ms_total)
 
 
-def _reject_scan(engine: _RejectionEngine) -> tuple[RrDecision, ...]:
+def _reject_scan(engine: _RejectionEngine) -> list[tuple[int, int]]:
     """Walk the engine's live agents from the bottom of the scan order and
     reject each one whose removal, with pruning, keeps the matching size.
-    The engine must hold a maximum matching; it ends on the final reduced
-    graph."""
+    Returns (agent, tested size) in scan order; an agent is rejected exactly
+    when her size equals the engine's size on entry. The engine must hold a
+    maximum matching; it ends on the final reduced graph."""
     target = engine.size()
     decisions = []
     for i in reversed(engine.order):
@@ -73,8 +74,8 @@ def _reject_scan(engine: _RejectionEngine) -> tuple[RrDecision, ...]:
             engine.keep()
         else:
             engine.undo()
-        decisions.append(RrDecision(i, size == target, size))
-    return tuple(decisions)
+        decisions.append((i, size))
+    return decisions
 
 
 def srr(inst: Instance) -> Matching:
