@@ -65,7 +65,7 @@ def _reject_scan(engine: _RejectionEngine) -> list[tuple[int, int]]:
     when her size equals the engine's size on entry. The engine must hold a
     maximum matching; it ends on the final reduced graph."""
     target = engine.size()
-    decisions = []
+    tested = []
     for i in reversed(engine.order):
         if not engine.alive[i]:
             continue
@@ -74,8 +74,8 @@ def _reject_scan(engine: _RejectionEngine) -> list[tuple[int, int]]:
             engine.keep()
         else:
             engine.undo()
-        decisions.append((i, size))
-    return decisions
+        tested.append((i, size))
+    return tested
 
 
 def srr(inst: Instance) -> Matching:

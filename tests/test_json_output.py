@@ -45,10 +45,6 @@ def test_indented_equals_json_dumps(doc):
     assert _indented(doc) == json.dumps(doc, indent=2)
 
 
-def _is_dumped(text: str) -> bool:
-    return text == json.dumps(json.loads(text), indent=2) + "\n"
-
-
 def _split_flag(doc: dict) -> list[str]:
     pools = [c["quota"] for c in doc["categories"] if c["kind"] == "unreserved"]
     if not pools or "unreserved_split" in doc:
@@ -67,7 +63,7 @@ def test_every_cli_document_is_json_dumps_indented(tmp_path, capsys):
         code = main(argv + (["--out", str(out)] if out else []))
         text = out.read_text() if out else capsys.readouterr().out
         if code in (0, 1):
-            assert _is_dumped(text), (label, argv)
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", (label, argv)
             outputs[label] = outputs.get(label, 0) + 1
             if label.startswith("check"):
                 failing_witnesses += sum(1 for r in json.loads(text)
