@@ -104,12 +104,13 @@ def augment_pass(order, alive, match, indptr, cats, epos, thr, cap, used, slot_b
     return got
 
 
-def fill(c, s, alive, match, cptr, cagents, cpos, thr, used, slot_base, slots, visited):
+def fill(c, s, alive, match, cptr, cagents, cpos, thr, used, slot_base, slots, visited, log):
     """Put a live agent into slot ``s`` of column ``c`` along an alternating
     path that ends at an unmatched live agent, searching backwards: ``c``'s
     agents in priority order, up to the first position above ``thr[c]``. A
     matched agent's column is entered at most once per search; the caller
-    marks ``c`` itself."""
+    marks ``c`` itself. Each write to ``slots`` and ``match`` on the path is
+    appended to ``log`` as (list, index, old value) before it is made."""
     t = thr[c]
     for k in range(cptr[c], cptr[c + 1]):
         if cpos[k] > t:
@@ -119,6 +120,8 @@ def fill(c, s, alive, match, cptr, cagents, cpos, thr, used, slot_base, slots, v
             continue
         m = match[a]
         if m < 0:
+            log.append((slots, s, slots[s]))
+            log.append((match, a, m))
             slots[s] = a
             match[a] = c
             return True
@@ -126,14 +129,16 @@ def fill(c, s, alive, match, cptr, cagents, cpos, thr, used, slot_base, slots, v
             continue
         visited[m] = True
         if fill(m, slots.index(a, slot_base[m], slot_base[m] + used[m]), alive, match, cptr,
-                cagents, cpos, thr, used, slot_base, slots, visited):
+                cagents, cpos, thr, used, slot_base, slots, visited, log):
+            log.append((slots, s, slots[s]))
+            log.append((match, a, m))
             slots[s] = a
             match[a] = c
             return True
     return False
 
 
-def fill_pass(alive, match, cptr, cagents, cpos, thr, cap, used, slot_base, slots, need):
+def fill_pass(alive, match, cptr, cagents, cpos, thr, cap, used, slot_base, slots, need, log):
     """One pass over the columns with spare capacity, filling each until it
     is full or its search fails, and stopping after ``need`` augmentations.
     Starting from any valid partial matching, with ``need`` at least the
@@ -142,7 +147,9 @@ def fill_pass(alive, match, cptr, cagents, cpos, thr, cap, used, slot_base, slot
     a slot, and a column whose search failed stays without a path (Kuhn's
     lemma). Dead marks follow ``augment_pass``: a column entered by a failed
     search cannot reach an unmatched agent until the matching changes, so the
-    marks are kept across failures and cleared after a success."""
+    marks are kept across failures and cleared after a success. Every write
+    to ``used``, ``slots`` and ``match`` is appended to ``log`` as (list,
+    index, old value), so replaying it newest first undoes the pass."""
     got = 0
     n_cols = len(cap)
     visited = [False] * n_cols
@@ -152,8 +159,9 @@ def fill_pass(alive, match, cptr, cagents, cpos, thr, cap, used, slot_base, slot
         while got < need and used[c] < cap[c] and not visited[c]:
             visited[c] = True
             if not fill(c, slot_base[c] + used[c], alive, match, cptr, cagents, cpos, thr,
-                        used, slot_base, slots, visited):
+                        used, slot_base, slots, visited, log):
                 break
+            log.append((used, c, used[c]))
             used[c] += 1
             got += 1
             visited = [False] * n_cols

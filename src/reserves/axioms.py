@@ -168,6 +168,12 @@ def check_max_size(inst: Instance, m: Matching,
     elig = check_eligibility(inst, m)
     if not elig.holds:
         raise ValidationError("max-size is defined only for eligibility-compliant matchings")
+    return _max_size_report(inst, m, max_witnesses)
+
+
+def _max_size_report(inst: Instance, m: Matching,
+                     max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
+    """check_max_size's report on a matching already known to be compliant."""
     # the unreserved pools admit every agent, so on top of a maximum
     # preferential matching they fill every unit or seat everyone left over
     pref = _preferential_optimum_given(inst, m)

@@ -340,6 +340,9 @@ def _evaluate(work: Instance, matching: Matching, names: Sequence[str],
     for axiom in names:
         if axiom == "eligibility" and eligibility is not None:
             reports.append(eligibility)
+        elif axiom == "max_size":
+            # the pre-check above found the matching compliant
+            reports.append(axioms._max_size_report(work, matching))
         elif axiom not in HARNESS_AXIOMS:
             reports.append(getattr(axioms, f"check_{axiom}")(work, matching))
         elif rule is None:

@@ -5,8 +5,10 @@ is eligible for; rejecting agents both removes them and prunes any edge a
 rejected agent outranks. Matching sizes of such graphs drive every rule, and
 ``_RejectionEngine`` computes them all: only it knows the CSR layout and
 calls the kernels. It lays the CSR out straight from each category's
-eligible tiers, and undoes a tentative removal from a trail record that
-holds what the removal changed, copying the matching only when a pair died.
+eligible tiers, logs every list write a tentative removal makes, kernels'
+path writes included, as (list, index, old value), and undoes the removal
+by replaying that log newest first; nothing n-long is copied. The rejection
+scan itself is the engine's ``reject_scan``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class _RejectionEngine:
     lowers. Agents are scanned in ``order``. Each
     ``test_remove`` pushes a trail record that its ``keep`` or ``undo`` pops,
     so tests may nest and be undone innermost first; undoing a test also
-    undoes the tests kept inside it.
+    undoes the tests kept inside it. ``reject_scan`` and the tests share one
+    removal routine (``_remove``) and one revert routine (``_revert``).
     """
 
     def __init__(self, n: int, tiers: Sequence[Sequence[Sequence[int]]], cat_ids: Sequence[int],
@@ -124,18 +127,58 @@ class _RejectionEngine:
     def size(self) -> int:
         return self._size
 
+    def reject_scan(self) -> list[tuple[int, int]]:
+        """Walk the live agents from the bottom of the scan order and reject
+        each one whose removal, with pruning, keeps the matching size.
+        Returns (agent, tested size) in scan order; an agent is rejected
+        exactly when her size equals the size on entry. Call it with no test
+        pending; the engine ends on the final reduced graph.
+
+        A rejection commits by dropping its step's log and a kept agent is
+        reverted by replaying it; a step whose agent is unmatched and lowers
+        no threshold writes only her alive flag."""
+        target, alive = self._size, self.alive
+        log: list = []
+        tested = []
+        for i in reversed(self.order):
+            if alive[i]:
+                size = self._remove(i, True, log)
+                if size != target:
+                    self._revert(log, target)
+                log.clear()
+                tested.append((i, size))
+        return tested
+
     def test_remove(self, i: int, prune: bool) -> int:
         """Tentatively drop agent ``i`` (pruning outranked edges when asked)
         and return the new maximum matching size. Follow with keep()/undo(),
         possibly after further tests that are themselves kept or undone.
+        The trail record holds the removal's log and the size before it."""
+        log: list = []
+        self._trail.append((log, self._size))
+        return self._remove(i, prune, log)
+
+    def keep(self) -> None:
+        """Commit the latest pending test_remove. Inside a pending test, its
+        log is appended to that test's log, so undoing the outer test undoes
+        this one too."""
+        log, _ = self._trail.pop()
+        if self._trail:
+            self._trail[-1][0].extend(log)
+
+    def undo(self) -> None:
+        """Revert the latest pending test_remove, with the tests kept inside it."""
+        self._revert(*self._trail.pop())
+
+    def _remove(self, i: int, prune: bool, log: list) -> int:
+        """Drop agent ``i``, re-augment, and return the new size. Every list
+        write is logged to ``log`` as (list, index, old value).
 
         Only the pairs that die are unmatched: ``i``'s own and, in a column
         whose threshold pruning lowers, those of agents now ranked below it.
         The new graph is a subgraph of the old one, so its maximum is at most
-        the current size: if no pair died the matching is still maximum and
-        the trail record holds ``i`` and the lowered thresholds as (column,
-        old value). Otherwise it first copies ``match``/``used``/``slots``,
-        and re-augmentation stops once the lost pairs are made up.
+        the current size, and re-augmentation stops once the lost pairs are
+        made up.
 
         Re-augmentation is one backward pass from the columns with spare
         capacity (``_kernels.fill_pass``). Every augmenting path joins a
@@ -147,19 +190,18 @@ class _RejectionEngine:
         size leaves it, and a maximum size is unique."""
         match, thr, used, slots, alive = self.match, self.thr, self.used, self.slots, self.alive
         alive[i] = False
+        log.append((alive, i, True))
         hit = set()  # columns that may hold a dead pair
         if match[i] >= 0:
             hit.add(match[i])
-        lowered = []
         if prune:
             cats, epos = self.cats, self.epos
             for k in range(self.indptr[i], self.indptr[i + 1]):
                 c = cats[k]
                 if epos[k] < thr[c]:
-                    lowered.append((c, thr[c]))
+                    log.append((thr, c, thr[c]))
                     thr[c] = epos[k]
                     hit.add(c)
-        self._trail.append([[i], lowered, None])
         dropped = 0
         for c in hit:
             pos, t = self.pos[c], thr[c]
@@ -168,43 +210,27 @@ class _RejectionEngine:
             for s in range(base, end):
                 a = slots[s]
                 if alive[a] and pos[a] <= t:
-                    slots[out] = a  # a no-op until the first pair dies
+                    if out < s:
+                        log.append((slots, out, slots[out]))
+                        slots[out] = a
                     out += 1
                 else:
-                    if not dropped:
-                        self._trail[-1][2] = (match[:], used[:], slots[:], self._size)
+                    log.append((match, a, c))
                     match[a] = -1
-                    dropped += 1
-            used[c] = out - base
+            if out < end:
+                log.append((used, c, used[c]))
+                used[c] = out - base
+                dropped += end - out
         if dropped:
-            self._size += _kernels.fill_pass(alive, match, *self._fill_args, dropped) - dropped
+            got = _kernels.fill_pass(alive, match, *self._fill_args, dropped, log)
+            self._size += got - dropped
         return self._size
 
-    def keep(self) -> None:
-        """Commit the latest pending test_remove. Inside a pending test, its
-        record joins that one: agents and thresholds are appended, and the
-        copies of the first test to drop a pair are kept."""
-        agents, lowered, saved = self._trail.pop()
-        if self._trail:
-            outer = self._trail[-1]
-            outer[0] += agents
-            outer[1] += lowered
-            outer[2] = outer[2] or saved
-
-    def undo(self) -> None:
-        """Revert the latest pending test_remove: revive its agents, restore
-        its thresholds newest first and, if a pair died, copy the matching
-        back (in place, since ``_fill_args`` holds the lists)."""
-        agents, lowered, saved = self._trail.pop()
-        for a in agents:
-            self.alive[a] = True
-        for c, t in reversed(lowered):
-            self.thr[c] = t
-        if saved is not None:
-            match, used, slots, self._size = saved
-            self.match[:] = match
-            self.used[:] = used
-            self.slots[:] = slots
+    def _revert(self, log: list, size: int) -> None:
+        """Replay ``log`` newest first, back to the state of size ``size``."""
+        for values, k, old in reversed(log):
+            values[k] = old
+        self._size = size
 
     def fresh_matching(self) -> Matching:
         """Deterministic maximum matching of the current reduced graph,

@@ -141,16 +141,17 @@ class Instance:
         for c in self.categories:
             if c.quota < 0:
                 raise ValidationError(f"negative quota for category {c.name!r}")
+            if c.kind.is_unreserved and c.ranking == expected:
+                continue  # the baseline's permutation check has validated it
             try:
                 c.ranking.validate(n)
             except ValidationError as e:
                 raise ValidationError(f"category {c.name!r}: {e}") from None
             if c.kind.is_unreserved:
-                if c.ranking != expected:
-                    raise ValidationError(
-                        f"unreserved category {c.name!r} must rank every agent "
-                        "eligible in baseline order"
-                    )
+                raise ValidationError(
+                    f"unreserved category {c.name!r} must rank every agent "
+                    "eligible in baseline order"
+                )
 
     @property
     def n(self) -> int:

@@ -53,29 +53,9 @@ def rr(inst: Instance) -> tuple[Matching, RrTrace]:
     """
     engine = _RejectionEngine.of(inst, range(len(inst.categories)))
     ms_total = engine.size()
-    decisions = tuple(RrDecision(i, size == ms_total, size) for i, size in _reject_scan(engine))
+    decisions = tuple(RrDecision(i, size == ms_total, size) for i, size in engine.reject_scan())
     rejected = frozenset(d.agent for d in decisions if d.rejected)
     return engine.fresh_matching(), RrTrace(rejected, decisions, ms_total)
-
-
-def _reject_scan(engine: _RejectionEngine) -> list[tuple[int, int]]:
-    """Walk the engine's live agents from the bottom of the scan order and
-    reject each one whose removal, with pruning, keeps the matching size.
-    Returns (agent, tested size) in scan order; an agent is rejected exactly
-    when her size equals the engine's size on entry. The engine must hold a
-    maximum matching; it ends on the final reduced graph."""
-    target = engine.size()
-    tested = []
-    for i in reversed(engine.order):
-        if not engine.alive[i]:
-            continue
-        size = engine.test_remove(i, prune=True)
-        if size == target:
-            engine.keep()
-        else:
-            engine.undo()
-        tested.append((i, size))
-    return tested
 
 
 def srr(inst: Instance) -> Matching:
@@ -107,7 +87,7 @@ def srr(inst: Instance) -> Matching:
                 engine.undo()
 
     # the engine now holds a maximum matching (size m*) of the remaining agents
-    _reject_scan(engine)
+    engine.reject_scan()
     assignment = {i: cf for i in n1}
     assignment.update(engine.fresh_matching().assignment)
 
