@@ -10,6 +10,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, p
 
 from reserves.generator import random_instance
 from reserves.graph import _RejectionEngine
+from test_graph import _assert_consistent
 
 
 def _engine(inst, cat_ids, quotas):
@@ -115,8 +116,9 @@ def _reference_size(inst, quotas, pruned, unpruned):
 
 class EngineMachine(RuleBasedStateMachine):
     """Nested tests on one engine: each test is kept or undone innermost
-    first, the size is the reference maximum after every step, and each undo
-    restores the engine exactly as it was before its test."""
+    first, the size is the reference maximum and the matching consistent
+    after every step, and each undo restores the engine exactly as it was
+    before its test."""
 
     @initialize(seed=st.integers(0, 10**6))
     def build(self, seed):
@@ -170,8 +172,8 @@ class EngineMachine(RuleBasedStateMachine):
         removed = [test for level in self.levels for test in level]
         pruned = {a for a, p in removed if p}
         unpruned = {a for a, p in removed if not p}
-        assert self.engine.size() == sum(self.engine.used) == _reference_size(
-            self.inst, self.quotas, pruned, unpruned)
+        assert self.engine.size() == _reference_size(self.inst, self.quotas, pruned, unpruned)
+        _assert_consistent(self.engine)
 
 
 EngineMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=30,
