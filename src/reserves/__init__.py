@@ -13,8 +13,6 @@ from .axioms import (AxiomReport, check_eligibility, check_max_beneficiary,
                      check_respect_priorities, check_strategyproofness,
                      check_weak_nonbossiness)
 from .generator import random_instance, random_instance_document
-from .graph import (ReservationGraph, max_matching, max_matching_size,
-                    reduced_graph, reservation_graph)
 from .model import (EMPTY, Category, Instance, Kind, Matching, ParseError,
                     PriorityRanking, ValidationError,
                     apply_manipulation, enumerate_priority_decreases,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections import Counter
 from itertools import chain
@@ -532,7 +533,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
+        return code
+    except BrokenPipeError as e:
+        # the flush at exit would raise again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {e}", file=sys.stderr)
+        return EXIT_INPUT
     except (ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

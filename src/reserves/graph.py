@@ -1,4 +1,4 @@
-"""Reservation graphs and the maximum-cardinality b-matching primitive.
+"""The matching engine: maximum b-matchings of the reservation graph.
 
 The reservation graph of an instance joins each agent to every category she
 is eligible for; rejecting agents both removes them and prunes any edge a
@@ -8,41 +8,17 @@ calls the kernels. It lays the CSR out straight from each category's
 eligible tiers, logs every list write a tentative removal makes, kernels'
 path writes included, as (list, index, old value), and undoes the removal
 by replaying that log newest first; nothing n-long is copied. The rejection
-scan itself is the engine's ``reject_scan``.
+scan itself is the engine's ``reject_scan``, and ``fresh_matching`` gives
+the deterministic maximum matching of the graph the engine holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
 from . import _kernels
-from .model import Instance, Matching, ValidationError
-
-
-@dataclass(frozen=True)
-class ReservationGraph:
-    """Bipartite eligibility graph between agents and capacitated categories.
-
-    ``scan_order`` fixes the deterministic tiebreak: agents are seeded and
-    augmented in this order (baseline order when built from an instance).
-    """
-
-    left: frozenset[int]
-    right: tuple[tuple[int, int], ...]  # (category id, capacity)
-    edges: frozenset[tuple[int, int]]
-    scan_order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        cat_ids = {c for c, _ in self.right}
-        if len(cat_ids) != len(self.right):
-            raise ValidationError("duplicate category on the right side")
-        for a, c in self.edges:
-            if a not in self.left or c not in cat_ids:
-                raise ValidationError(f"edge ({a}, {c}) has a missing endpoint")
-        if sorted(self.scan_order) != sorted(self.left):
-            raise ValidationError("scan_order must enumerate the left vertices")
+from .model import Instance, Matching
 
 
 class _RejectionEngine:
@@ -120,9 +96,6 @@ class _RejectionEngine:
         _kernels.greedy(self.order, self.alive, match, *args)
         _kernels.augment_pass(self.order, self.alive, match, *args)
         return match, used, slots
-
-    def _as_matching(self, match: list[int]) -> Matching:
-        return Matching({a: self.cat_ids[c] for a, c in enumerate(match) if c >= 0})
 
     def size(self) -> int:
         return self._size
@@ -235,56 +208,6 @@ class _RejectionEngine:
     def fresh_matching(self) -> Matching:
         """Deterministic maximum matching of the current reduced graph,
         computed from scratch with the same policy as the initial one."""
-        return self._as_matching(self._solve()[0])
+        match = self._solve()[0]
+        return Matching({a: self.cat_ids[c] for a, c in enumerate(match) if c >= 0})
 
-
-def reservation_graph(inst: Instance) -> ReservationGraph:
-    """Eligibility graph over all agents and all categories."""
-    cat_ids = range(len(inst.categories))
-    right = tuple((c, inst.categories[c].quota) for c in cat_ids)
-    edges = frozenset((a, c) for c in cat_ids for a in inst.agents_eligible_for(c))
-    return ReservationGraph(frozenset(range(inst.n)), right, edges, inst.baseline)
-
-
-def reduced_graph(inst: Instance, rejected: Iterable[int] = ()) -> ReservationGraph:
-    """Reservation graph after rejections: rejected agents leave, and an edge
-    (j, c) survives only if no rejected agent strictly outranks j in c."""
-    cat_ids = range(len(inst.categories))
-    rej = set(rejected)
-    for r in rej:
-        if not 0 <= r < inst.n:
-            raise ValidationError(f"unknown rejected agent id {r}")
-    left = [a for a in range(inst.n) if a not in rej]
-    thr = {c: min((inst.position(c, r) for r in rej), default=None) for c in cat_ids}
-    edges = set()
-    for c in cat_ids:
-        for a in inst.agents_eligible_for(c):
-            if a in rej:
-                continue
-            if thr[c] is None or inst.position(c, a) <= thr[c]:
-                edges.add((a, c))
-    right = tuple((c, inst.categories[c].quota) for c in cat_ids)
-    order = tuple(a for a in inst.baseline if a not in rej)
-    return ReservationGraph(frozenset(left), right, frozenset(edges), order)
-
-
-def _engine(g: ReservationGraph) -> _RejectionEngine:
-    agents: dict[int, list[int]] = {c: [] for c, _ in g.right}
-    for a, c in g.edges:
-        agents[c].append(a)
-    return _RejectionEngine(max(g.left, default=-1) + 1, [[agents[c]] for c, _ in g.right],
-                            [c for c, _ in g.right], [q for _, q in g.right], g.left,
-                            g.scan_order)
-
-
-def max_matching_size(g: ReservationGraph) -> int:
-    """Number of edges in a maximum matching (agents once, categories up to capacity)."""
-    return _engine(g).size()
-
-
-def max_matching(g: ReservationGraph) -> Matching:
-    """A maximum matching, deterministic for a fixed tiebreak: greedy seeding
-    then augmentation, scanning agents in the graph's scan order and
-    categories in declaration order."""
-    engine = _engine(g)
-    return engine._as_matching(engine.match)

@@ -27,9 +27,9 @@ matching walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .graph import ReservationGraph, _RejectionEngine, reduced_graph, reservation_graph
+from .graph import _RejectionEngine
 from .model import Instance, Kind, Matching
 
 #: canonical form of a matching: sorted (agent, category) pairs
@@ -64,36 +64,59 @@ def enumerate_matchings(inst: Instance) -> Iterator[Matching]:
     against.
     """
     _check_bound(inst)
-    return (Matching(m) for m in _graph_matchings(reservation_graph(inst)))
+    quota = [c.quota for c in inst.categories]
+    return (Matching(m) for m in _graph_matchings(_reduced_adj(inst), quota))
 
 
-def _graph_matchings(g: ReservationGraph) -> Iterator[dict[int, int]]:
-    agents = sorted(g.left)
-    order = {c: j for j, (c, _) in enumerate(g.right)}
-    adj = {a: sorted((c for b, c in g.edges if b == a), key=order.__getitem__)
-           for a in agents}
-    quota = dict(g.right)
-    used = {c: 0 for c, _ in g.right}
+def _reduced_adj(inst: Instance, rejected: Iterable[int] = ()) -> list[list[tuple[int, int]]]:
+    """The adjacency of G(R), the graph left after rejecting the agents R.
+
+    ``adj[a]`` lists agent ``a``'s categories in id order as (category,
+    priority position). Rejected agents have none, and the list ends at the
+    last agent not rejected, since trailing rejected agents would only add
+    nodes to every walk over it. An eligible edge (a, c) survives when no
+    rejected agent strictly outranks ``a`` in ``c``: a category's threshold
+    is the best position among the rejected agents, or its cutoff, which
+    every eligible position is below, when none is rejected.
+    """
+    rej = set(rejected)
+    thr = [min((inst.position(c, r) for r in rej), default=cat.ranking.cutoff)
+           for c, cat in enumerate(inst.categories)]
+    last = max(set(range(inst.n)) - rej, default=-1)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(last + 1)]
+    for a in range(last + 1):
+        if a not in rej:
+            for c in inst.eligible_categories(a):
+                p = inst.position(c, a)
+                if p <= thr[c]:
+                    adj[a].append((c, p))
+    return adj
+
+
+def _graph_matchings(adj: Sequence[Sequence[tuple[int, int]]],
+                     quota: Sequence[int]) -> Iterator[dict[int, int]]:
+    """Every matching of the graph ``adj`` (as ``_reduced_adj`` gives it)
+    under ``quota``, each once, unpruned."""
+    used = [0] * len(quota)
     current: dict[int, int] = {}
     nodes = 0
 
-    def walk(k: int) -> Iterator[dict[int, int]]:
+    def walk(a: int) -> Iterator[dict[int, int]]:
         nonlocal nodes
         nodes += 1
         if nodes > MAX_WALK_NODES:
             raise _walk_bound()
-        if k == len(agents):
+        if a == len(adj):
             yield dict(current)
             return
-        a = agents[k]
-        for c in adj[a]:
+        for c, _ in adj[a]:
             if used[c] < quota[c]:
                 used[c] += 1
                 current[a] = c
-                yield from walk(k + 1)
+                yield from walk(a + 1)
                 del current[a]
                 used[c] -= 1
-        yield from walk(k + 1)
+        yield from walk(a + 1)
 
     return walk(0)
 
@@ -169,9 +192,8 @@ def axiom_satisfying_set(inst: Instance) -> MatchingSet:
     size, so were that larger, the two sides would differ and
     ``verify_characterization`` would still report it."""
     _check_bound(inst)
-    adj = [[(c, inst.position(c, a)) for c in inst.eligible_categories(a)]
-           for a in range(inst.n)]
-    return frozenset(_maximum_matchings(adj, [c.quota for c in inst.categories], True))
+    return frozenset(_maximum_matchings(_reduced_adj(inst), [c.quota for c in inst.categories],
+                                        True))
 
 
 def _symmetrize(inst: Instance) -> Instance:
@@ -190,21 +212,11 @@ def rr_outcome_set(inst: Instance) -> MatchingSet:
     its maximum matchings enumerated once."""
     _check_bound(inst)
     base = _symmetrize(inst)
+    quota = [c.quota for c in base.categories]
     out: set[Canonical] = set()
     for rejected in _final_rejected_sets(base):
-        out.update(_graph_maximum_matchings(reduced_graph(base, rejected=rejected)))
+        out.update(_maximum_matchings(_reduced_adj(base, rejected), quota, False))
     return frozenset(out)
-
-
-def _graph_maximum_matchings(g: ReservationGraph) -> list[Canonical]:
-    """Every maximum matching of ``g``, in canonical form."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(max(g.left, default=-1) + 1)]
-    for a, c in sorted(g.edges):
-        adj[a].append((c, 0))
-    quota = [0] * (max((c for c, _ in g.right), default=-1) + 1)
-    for c, q in g.right:
-        quota[c] = q
-    return _maximum_matchings(adj, quota, False)
 
 
 def _final_rejected_sets(inst: Instance) -> set[frozenset[int]]:

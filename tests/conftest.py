@@ -14,6 +14,47 @@ def names_of(inst: Instance, matching) -> dict[str, str]:
     return {inst.agent_names[a]: inst.categories[c].name for a, c in matching.pairs()}
 
 
+def surviving_edges(inst: Instance, pruned=(), unpruned=(), cats=None) -> list[tuple[int, int]]:
+    """The edges (a, c) of the reduced graph, read off the instance alone:
+    ``a`` is eligible for ``c`` (one of ``cats``, default all), is in
+    neither ``pruned`` nor ``unpruned``, and no agent of ``pruned`` strictly
+    outranks her in ``c``."""
+    gone = set(pruned) | set(unpruned)
+    edges = []
+    for c in range(len(inst.categories)) if cats is None else cats:
+        thr = min((inst.position(c, r) for r in pruned), default=None)
+        for a in inst.agents_eligible_for(c):
+            if a not in gone and (thr is None or inst.position(c, a) <= thr):
+                edges.append((a, c))
+    return edges
+
+
+def adj_edges(adj) -> set[tuple[int, int]]:
+    """The (agent, category) pairs of an adjacency such as the oracle's
+    ``_reduced_adj``, whose entries are (category, priority position)."""
+    return {(a, c) for a, cats in enumerate(adj) for c, _ in cats}
+
+
+def reference_size(inst: Instance, pruned=(), unpruned=(), cats=None, quotas=None) -> int:
+    """Maximum matching size of ``surviving_edges``, by scipy's maximum flow
+    on source -> agent (capacity 1) -> category (1) -> sink (the category's
+    quota, or ``quotas[c]`` when given). It shares no code with the
+    library's kernels."""
+    np = pytest.importorskip("numpy")
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    edges = surviving_edges(inst, pruned, unpruned, cats)
+    n, m = inst.n, len(inst.categories)
+    source, sink = n + m, n + m + 1
+    if quotas is None:
+        quotas = [cat.quota for cat in inst.categories]
+    rows = [source] * n + [a for a, _ in edges] + [n + c for c in range(m)]
+    cols = [*range(n), *(n + c for _, c in edges), *[sink] * m]
+    caps = np.array([1] * (n + len(edges)) + list(quotas), dtype=np.int32)
+    graph = sparse.csr_matrix((caps, (rows, cols)), shape=(n + m + 2, n + m + 2))
+    return int(csgraph.maximum_flow(graph, source, sink).flow_value)
+
+
 # Three agents, two quota-1 categories. c1 ranks 2 > 3 > empty > 1,
 # c2 ranks 2 > empty > 1 > 3; agent 1 is eligible nowhere.
 RUNNING_DOC = {

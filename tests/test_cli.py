@@ -402,6 +402,25 @@ def test_unwritable_out_path(tmp_path, capsys):
         capsys, ["allocate", "--rule", "rr", "--instance", inst, "--out", out])
 
 
+def test_closed_stdout_exits_2_with_one_line(tmp_path):
+    # the reader is gone before the first write: a short output fails in
+    # main's flush, a long one in the write itself
+    inst = write(tmp_path, "i.json", RUNNING_DOC)
+    env = dict(os.environ, PYTHONPATH=str(Path(reserves.__file__).parents[1]))
+    for argv in (["allocate", "--rule", "rr", "--instance", inst],
+                 ["gen", "--agents", "2000", "--categories", "5"]):
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "reserves.cli", *argv], stdout=writer,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(writer)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_verify_rejects_negative_count(capsys):
     assert "--count" in input_error(capsys, ["verify", "--count", "-3"])
 

@@ -1,92 +1,137 @@
+"""The matching engine of ``reserves.graph`` and the reduced graph G(R).
+
+G(R) is read off the oracle's adjacency. The engine's sizes and matchings
+are held to scipy's maximum flow or to the oracle's brute-force
+enumeration, never to the engine itself: after tentative removals, nested
+and undone or kept; in its own rejection scan against the scan over
+test_remove/keep/undo; and in a stateful model of nested tests.
+"""
+
 import random
 
-import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
+                                 rule)
 
-from conftest import make_instance
+from conftest import adj_edges, make_instance, reference_size
 from reserves.generator import random_instance
-from reserves.graph import (ReservationGraph, _RejectionEngine, max_matching,
-                            max_matching_size, reduced_graph, reservation_graph)
-from reserves.model import ValidationError
-from reserves.oracle import enumerate_matchings
+from reserves.graph import _RejectionEngine
+from reserves.oracle import _reduced_adj, enumerate_matchings
 
+
+def _engine(inst, cat_ids=None, quotas=None):
+    """The engine on ``inst``'s columns ``cat_ids`` with ``quotas`` (default:
+    every category, at its quota)."""
+    if cat_ids is None:
+        return _RejectionEngine.of(inst, range(len(inst.categories)))
+    rankings = [inst.categories[c].ranking for c in cat_ids]
+    return _RejectionEngine(inst.n, [r.tiers[:r.cutoff] for r in rankings], cat_ids, quotas,
+                            range(inst.n), inst.baseline)
+
+
+def _state(engine):
+    return ([list(x) for x in (engine.alive, engine.thr, engine.match, engine.used,
+                               engine.slots)], engine.size())
+
+
+def _eligible_edges(inst):
+    return {(a, c) for a in range(inst.n) for c in range(len(inst.categories))
+            if inst.eligible(a, c)}
+
+
+# --- the reduced graph G(R) -------------------------------------------------
 
 def test_reservation_graph_running(running):
-    g = reservation_graph(running)
-    assert g.edges == {(1, 0), (2, 0), (1, 1)}
-    assert g.left == frozenset({0, 1, 2})
-    assert dict(g.right) == {0: 1, 1: 1}
+    adj = _reduced_adj(running)
+    assert adj_edges(adj) == {(1, 0), (2, 0), (1, 1)}
+    assert len(adj) == 3
 
 
 def test_reservation_graph_scan(scan):
-    g = reservation_graph(scan)
-    assert g.edges == {(0, 0), (1, 0), (3, 0), (0, 1), (2, 1)}
+    assert adj_edges(_reduced_adj(scan)) == {(0, 0), (1, 0), (3, 0), (0, 1), (2, 1)}
 
 
 def test_reservation_graph_no_categories():
-    g = reservation_graph(make_instance({"agents": ["a", "b"], "baseline": ["b", "a"],
-                                         "categories": []}))
-    assert g.right == () and g.edges == frozenset()
-    assert max_matching_size(g) == 0
+    inst = make_instance({"agents": ["a", "b"], "baseline": ["b", "a"], "categories": []})
+    assert _reduced_adj(inst) == [[], []]
+    engine = _engine(inst)
+    assert engine.size() == 0 and engine.fresh_matching().size() == 0
 
 
 def test_reduced_graph_prunes_outranked_edges(scan):
     # rejecting agent 4 removes agent 2's edge to c1 (4 outranks 2 there)
-    g = reduced_graph(scan, rejected={3})
-    assert g.edges == {(0, 0), (0, 1), (2, 1)}
-    assert g.left == frozenset({0, 1, 2})
+    adj = _reduced_adj(scan, {3})
+    assert adj_edges(adj) == {(0, 0), (0, 1), (2, 1)}
+    assert len(adj) == 3
 
 
 def test_reduced_graph_empty_rejection_is_identity(scan):
-    assert reduced_graph(scan, rejected=set()).edges == reservation_graph(scan).edges
+    assert adj_edges(_reduced_adj(scan, set())) == _eligible_edges(scan)
 
 
 def test_reduced_graph_two_rejections(scan):
-    g = reduced_graph(scan, rejected={1, 3})
-    assert g.edges == {(0, 0), (0, 1), (2, 1)}
+    assert adj_edges(_reduced_adj(scan, {1, 3})) == {(0, 0), (0, 1), (2, 1)}
 
 
 def test_reduced_graph_monotone_in_rejections():
+    # rejecting one more agent only removes edges, and the engine, rejecting
+    # the same agents with pruning, follows G(R)'s maximum down
     for seed in range(25):
         inst = random_instance(6, 3, seed=seed, eligibility_density=0.6, tie_prob=0.3)
-        prev = reservation_graph(inst).edges
+        engine = _engine(inst)
+        full = engine.size()
+        prev = adj_edges(_reduced_adj(inst))
         rejected: set[int] = set()
         for a in range(inst.n):
             rejected.add(a)
-            cur = reduced_graph(inst, rejected=rejected).edges
+            cur = adj_edges(_reduced_adj(inst, rejected))
             assert cur <= prev
-            assert max_matching_size(reduced_graph(inst, rejected=rejected)) <= \
-                max_matching_size(reservation_graph(inst))
+            engine.test_remove(a, prune=True)
+            engine.keep()
+            assert engine.size() == reference_size(inst, rejected) <= full
             prev = cur
 
 
+def test_edges_mirror_eligibility():
+    for seed in range(20):
+        inst = random_instance(6, 3, seed=seed, eligibility_density=0.5, tie_prob=0.3)
+        assert adj_edges(_reduced_adj(inst)) == _eligible_edges(inst)
+
+
+# --- the engine's maximum matchings -----------------------------------------
+
 def test_max_matching_size_golden(running, scan):
-    assert max_matching_size(reservation_graph(running)) == 2
+    assert _engine(running).size() == 2
     # without agents 3 and 4 only agent 1 keeps edges: one agent, one unit
-    assert max_matching_size(reduced_graph(scan, rejected={2, 3})) == 1
+    engine = _engine(scan)
+    engine.test_remove(2, prune=True)
+    assert engine.test_remove(3, prune=True) == 1
 
 
 def test_max_matching_forced_and_unique(scan):
-    g = ReservationGraph(frozenset({5}), ((0, 1),), frozenset({(5, 0)}), (5,))
-    assert max_matching(g).assignment == {5: 0}
+    inst = make_instance({"agents": ["a"], "baseline": ["a"], "categories": [
+        {"name": "c", "quota": 1, "kind": "preferential", "tiers": [["a"]], "cutoff": 1}]})
+    assert _engine(inst).fresh_matching().assignment == {0: 0}
     # after rejecting 2 and 4 the only size-2 matching is 1->c1, 3->c2
-    m = max_matching(reduced_graph(scan, rejected={1, 3}))
-    assert m.assignment == {0: 0, 2: 1}
+    engine = _engine(scan)
+    engine.test_remove(1, prune=True)
+    engine.test_remove(3, prune=True)
+    assert engine.fresh_matching().assignment == {0: 0, 2: 1}
 
 
 def test_max_matching_running(running):
-    assert max_matching(reservation_graph(running)).assignment == {1: 1, 2: 0}
+    assert _engine(running).fresh_matching().assignment == {1: 1, 2: 0}
 
 
 def test_max_matching_is_valid_and_deterministic():
     for seed in range(40):
         inst = random_instance(7, 3, seed=seed, eligibility_density=0.5, tie_prob=0.3)
-        g = reservation_graph(inst)
-        m1, m2 = max_matching(g), max_matching(g)
+        m1, m2 = _engine(inst).fresh_matching(), _engine(inst).fresh_matching()
         assert m1 == m2
-        assert set(m1.pairs()) <= set(g.edges)
-        for c, q in g.right:
-            assert m1.count_in(c) <= q
-        assert m1.size() == max_matching_size(g)
+        assert set(m1.pairs()) <= _eligible_edges(inst)
+        for c, cat in enumerate(inst.categories):
+            assert m1.count_in(c) <= cat.quota
+        assert m1.size() == reference_size(inst)
 
 
 def test_matching_size_agrees_with_enumeration_oracle():
@@ -95,50 +140,10 @@ def test_matching_size_agrees_with_enumeration_oracle():
                                eligibility_density=(0.3, 0.6, 0.9)[seed % 3],
                                tie_prob=(0.0, 0.3)[seed % 2])
         oracle_best = max((m.size() for m in enumerate_matchings(inst)), default=0)
-        assert max_matching_size(reservation_graph(inst)) == oracle_best
-
-
-def test_edges_mirror_eligibility():
-    for seed in range(20):
-        inst = random_instance(6, 3, seed=seed, eligibility_density=0.5, tie_prob=0.3)
-        g = reservation_graph(inst)
-        expected = {(a, c) for a in range(inst.n) for c in range(len(inst.categories))
-                    if inst.eligible(a, c)}
-        assert g.edges == expected
-
-
-def test_dropping_an_edge_never_increases_matching_size():
-    for seed in range(15):
-        inst = random_instance(5, 2, seed=seed, eligibility_density=0.7)
-        g = reservation_graph(inst)
-        full = max_matching_size(g)
-        for edge in sorted(g.edges):
-            smaller = ReservationGraph(g.left, g.right, g.edges - {edge}, g.scan_order)
-            assert max_matching_size(smaller) <= full
-
-
-def test_invalid_graph_inputs(running):
-    with pytest.raises(ValidationError):
-        reduced_graph(running, rejected={11})
-    with pytest.raises(ValidationError):
-        ReservationGraph(frozenset({0}), ((0, 1),), frozenset({(1, 0)}), (0,))
+        assert _engine(inst).size() == oracle_best
 
 
 # --- the rejection engine's re-augmentation after tentative removals ---------
-
-def _fresh_size(inst, pruned, unpruned=()):
-    """Maximum size after removing ``pruned`` with pruning and ``unpruned``
-    without, from scratch on the forward path."""
-    g = reduced_graph(inst, rejected=pruned)
-    out = set(unpruned)
-    return max_matching_size(ReservationGraph(
-        g.left - out, g.right, frozenset(e for e in g.edges if e[0] not in out),
-        tuple(a for a in g.scan_order if a not in out)))
-
-
-def _engine(inst):
-    return _RejectionEngine.of(inst, range(len(inst.categories)))
-
 
 def _assert_consistent(engine):
     """Every matched agent is alive, sits in its column's slots, and holds a
@@ -166,7 +171,7 @@ def test_engine_refills_a_column_spare_before_the_removal():
                               [("A", 1, [["i"], ["x"]]), ("B", 1, [["x"]]), ("C", 1, [["i"]])]))
     engine = _engine(inst)
     assert engine.match == [2, 0] and engine.used[1] == 0
-    assert engine.test_remove(0, prune=True) == 1 == _fresh_size(inst, {0})
+    assert engine.test_remove(0, prune=True) == 1 == reference_size(inst, {0})
     assert engine.match[1] == 1
     _assert_consistent(engine)
 
@@ -178,7 +183,7 @@ def test_engine_refills_a_freed_column_from_an_agent_already_unmatched():
                               [("A", 1, [["z"], ["i"]]), ("B", 1, [["z"], ["y"]])]))
     engine = _engine(inst)
     assert engine.match == [0, 1, -1]
-    assert engine.test_remove(0, prune=True) == 2 == _fresh_size(inst, {0})
+    assert engine.test_remove(0, prune=True) == 2 == reference_size(inst, {0})
     assert engine.match == [-1, 0, 1]
     _assert_consistent(engine)
 
@@ -192,7 +197,7 @@ def test_engine_clears_dead_marks_after_each_augmentation():
                                ("B", 2, [["b"], ["e"], ["a"], ["d"]])]))
     engine = _engine(inst)
     assert engine.match == [1, -1, 0, 1]
-    assert engine.test_remove(0, prune=True) == 3 == _fresh_size(inst, {0})
+    assert engine.test_remove(0, prune=True) == 3 == reference_size(inst, {0})
     _assert_consistent(engine)
 
 
@@ -203,12 +208,12 @@ def _walk(engine, inst, target, rejected, unscanned, seen):
     seen.add((rejected, unscanned))
     for i in unscanned:
         size = engine.test_remove(i, prune=True)
-        assert size == _fresh_size(inst, rejected | {i}), (rejected, i)
+        assert size == reference_size(inst, rejected | {i}), (rejected, i)
         _assert_consistent(engine)
         if size == target:
             _walk(engine, inst, target, rejected | {i}, unscanned - {i}, seen)
         engine.undo()
-        assert engine.size() == _fresh_size(inst, rejected)
+        assert engine.size() == reference_size(inst, rejected)
         if size != target:
             _walk(engine, inst, target, rejected, unscanned - {i}, seen)
 
@@ -219,11 +224,6 @@ def test_engine_sizes_in_nested_test_and_undo_sequences():
                                tie_prob=0.4, seed=seed)
         engine = _engine(inst)
         _walk(engine, inst, engine.size(), frozenset(), frozenset(range(inst.n)), set())
-
-
-def _state(engine):
-    return ([list(x) for x in (engine.match, engine.used, engine.slots, engine.thr,
-                               engine.alive)], engine.size())
 
 
 def test_engine_sizes_under_random_keep_and_undo():
@@ -257,7 +257,142 @@ def test_engine_sizes_under_random_keep_and_undo():
                 engine.test_remove(*test)
                 levels.append([test])
             removed = [test for level in levels for test in level]
-            expected = _fresh_size(inst, {a for a, p in removed if p},
-                                   {a for a, p in removed if not p})
+            expected = reference_size(inst, {a for a, p in removed if p},
+                                      {a for a, p in removed if not p})
             assert engine.size() == expected, (seed, removed)
             _assert_consistent(engine)
+
+
+# --- the engine's own scan, and nested tests as a state machine -------------
+
+def _reject_scan_by_tests(engine):
+    """The reference scan: a test_remove per live agent from the bottom,
+    kept when the size holds, else undone."""
+    target = engine.size()
+    tested = []
+    for i in reversed(engine.order):
+        if not engine.alive[i]:
+            continue
+        size = engine.test_remove(i, prune=True)
+        if size == target:
+            engine.keep()
+        else:
+            engine.undo()
+        tested.append((i, size))
+    return tested
+
+
+def _srr_phase_1(engine, inst, first):
+    """srr's early grants: untested removals without pruning, kept while the
+    preferential maximum holds, until ``first`` agents are granted."""
+    target, granted = engine.size(), 0
+    for i in inst.baseline:
+        if granted >= first:
+            break
+        if engine.test_remove(i, prune=False) == target:
+            engine.keep()
+            granted += 1
+        else:
+            engine.undo()
+
+
+def _case(seed):
+    """(case, instance, column ids, quotas, early grants) for a seed."""
+    rng = random.Random(seed)
+    case = ("scarce", "abundant", "tied", "zero", "unreserved")[seed % 5]
+    n = rng.randint(1, 10) if case == "abundant" else rng.randint(10, 40)
+    inst = random_instance(n, rng.randint(1, 5), max_quota=6 if case == "abundant" else 3,
+                           eligibility_density=rng.choice((0.3, 0.6, 0.9)),
+                           tie_prob=0.5 if case == "tied" else 0.0, seed=seed,
+                           unreserved=rng.randint(1, n) if case == "unreserved" else 0)
+    cat_ids = inst.preferential_ids
+    quotas = [inst.categories[c].quota for c in cat_ids]
+    if case == "zero":
+        quotas = [q if rng.random() < 0.5 else 0 for q in quotas]
+    first = rng.randint(0, inst.unreserved_quota) if case == "unreserved" else 0
+    return case, inst, cat_ids, quotas, first
+
+
+def test_engine_scan_equals_the_scan_over_tests():
+    seen = {}
+    for seed in range(250):
+        case, inst, cat_ids, quotas, first = _case(seed)
+        units = sum(quotas)
+        if (case == "scarce" and units >= inst.n) or (case == "abundant" and units <= inst.n):
+            continue
+        seen[case] = seen.get(case, 0) + 1
+        old, new = _engine(inst, cat_ids, quotas), _engine(inst, cat_ids, quotas)
+        _srr_phase_1(old, inst, first)
+        _srr_phase_1(new, inst, first)
+        assert _state(old) == _state(new), seed
+        assert new.reject_scan() == _reject_scan_by_tests(old), seed
+        assert _state(new) == _state(old), seed
+        assert not new._trail and not old._trail
+    assert len(seen) == 5 and min(seen.values()) >= 30, seen
+
+
+class EngineMachine(RuleBasedStateMachine):
+    """Nested tests on one engine: each test is kept or undone innermost
+    first, the size is the reference maximum and the matching consistent
+    after every step, and each undo restores the engine exactly as it was
+    before its test."""
+
+    @initialize(seed=st.integers(0, 10**6))
+    def build(self, seed):
+        rng = random.Random(seed)
+        n, n_cats = rng.randint(3, 12), rng.randint(2, 5)
+        self.inst = random_instance(n, n_cats, max_quota=1,
+                                    eligibility_density=rng.choice((0.4, 0.7)),
+                                    tie_prob=rng.choice((0.0, 0.4)), seed=seed)
+        # quotas drawn apart from the generator's leave columns spare, so a
+        # pruned agent often moves to a column that no dead pair freed
+        self.quotas = [rng.randint(0, 4) for _ in range(n_cats)]
+        self.engine = _engine(self.inst, range(n_cats), self.quotas)
+        self.levels = [[]]  # removals: the committed ones, then one list per pending test
+        self.before = []  # the engine's state before each pending test
+
+    @precondition(lambda self: any(self.engine.alive))
+    @rule(pick=st.integers(0, 10**6), prune=st.booleans())
+    def test_remove(self, pick, prune):
+        alive = [a for a, live in enumerate(self.engine.alive) if live]
+        i = alive[pick % len(alive)]
+        self.before.append(_state(self.engine))
+        self.engine.test_remove(i, prune)
+        self.levels.append([(i, prune)])
+
+    @precondition(lambda self: not self.before and not any(self.engine.alive))
+    @rule()
+    def restart(self):
+        self.engine = _engine(self.inst, range(len(self.quotas)), self.quotas)
+        self.levels = [[]]
+
+    @precondition(lambda self: self.before)
+    @rule()
+    def keep(self):
+        self.before.pop()
+        self.engine.keep()
+        done = self.levels.pop()
+        self.levels[-1] += done
+
+    @precondition(lambda self: self.before)
+    @rule()
+    def undo(self):
+        state = self.before.pop()
+        self.engine.undo()
+        self.levels.pop()
+        assert _state(self.engine) == state
+
+    @invariant()
+    def size_is_the_maximum(self):
+        if not hasattr(self, "engine"):
+            return
+        removed = [test for level in self.levels for test in level]
+        pruned = {a for a, p in removed if p}
+        unpruned = {a for a, p in removed if not p}
+        assert self.engine.size() == reference_size(self.inst, pruned, unpruned, quotas=self.quotas)
+        _assert_consistent(self.engine)
+
+
+EngineMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=30,
+                                           derandomize=True, database=None, deadline=None)
+test_engine_machine = EngineMachine.TestCase

@@ -1,46 +1,20 @@
-"""The matching kernels against an independent maximum matching, above the
-oracle's size bound, and the runtime's import footprint."""
+"""The matching kernels against an independent maximum matching (scipy's
+maximum flow), above the oracle's size bound, and the runtime's import
+footprint."""
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
+from conftest import reference_size, surviving_edges
 from reserves.axioms import SizeGapWitness, check_max_beneficiary, check_max_size
 from reserves.generator import random_instance
-from reserves.graph import ReservationGraph, max_matching, max_matching_size, reservation_graph
+from reserves.graph import _RejectionEngine
 from reserves.model import Matching
 from reserves.rules import rr, srr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def reference_size(inst, rejected=frozenset(), cats=None):
-    """Hopcroft-Karp maximum matching on the capacity-expanded graph (one
-    column per unit) of the reduced graph after ``rejected`` over ``cats``
-    (default all): an edge (j, c) survives iff j is eligible for c, not
-    rejected, and not strictly outranked in c by a rejected agent."""
-    sparse = pytest.importorskip("scipy.sparse")
-    csgraph = pytest.importorskip("scipy.sparse.csgraph")
-    rows, cols = [], []
-    first_unit = 0
-    for c, cat in enumerate(inst.categories):
-        if cats is not None and c not in cats:
-            continue
-        thr = min((inst.position(c, r) for r in rejected), default=None)
-        for j in inst.agents_eligible_for(c):
-            if j in rejected or (thr is not None and inst.position(c, j) > thr):
-                continue
-            for unit in range(first_unit, first_unit + cat.quota):
-                rows.append(j)
-                cols.append(unit)
-        first_unit += cat.quota
-    graph = sparse.csr_matrix(([1] * len(rows), (rows, cols)), shape=(inst.n, first_unit))
-    match = csgraph.maximum_bipartite_matching(graph, perm_type="column")
-    return int((match >= 0).sum())
 
 
 def instances():
@@ -53,18 +27,16 @@ def instances():
 
 
 def test_max_matching_size_equals_reference():
-    """Every maximum size the library computes: the graph's, a matching under a
-    shuffled tiebreak, the checkers' optima (the pref-only graph's maximum for
+    """Every maximum size the library computes: the engine's and its fresh
+    matching's, the checkers' optima (the pref-only graph's maximum for
     max_beneficiary), and srr's preferential count at three splits."""
     for seed, inst in instances():
         ref, pref = reference_size(inst), reference_size(inst, cats=inst.preferential_ids)
-        g = reservation_graph(inst)
-        assert max_matching_size(g) == ref, seed
-        order = list(g.scan_order)
-        random.Random(seed).shuffle(order)
-        m = max_matching(ReservationGraph(g.left, g.right, g.edges, tuple(order)))
-        assert m.size() == ref and set(m.pairs()) <= g.edges, seed
-        assert all(m.count_in(c) <= q for c, q in g.right), seed
+        engine = _RejectionEngine.of(inst, range(len(inst.categories)))
+        m = engine.fresh_matching()
+        assert engine.size() == m.size() == ref, seed
+        assert set(m.pairs()) <= set(surviving_edges(inst)), seed
+        assert all(m.count_in(c) <= cat.quota for c, cat in enumerate(inst.categories)), seed
         for check, optimum in ((check_max_size, ref), (check_max_beneficiary, pref)):
             report = check(inst, Matching())
             assert report.witnesses == ((SizeGapWitness(0, optimum),) if optimum else ()), seed

@@ -4,11 +4,11 @@ import time
 
 import pytest
 
-from conftest import make_instance
+from conftest import make_instance, reference_size
 from reserves import oracle
 from reserves.axioms import check_respect_priorities
 from reserves.generator import random_instance
-from reserves.graph import _RejectionEngine, max_matching_size, reduced_graph, reservation_graph
+from reserves.graph import _RejectionEngine
 from reserves.model import Instance, Matching
 from reserves.oracle import (OracleBoundError, axiom_satisfying_set,
                              enumerate_matchings, rr_outcome_set,
@@ -98,7 +98,8 @@ def _plain_outcome_union(inst):
         rebased = Instance(base.agent_names, base.categories, perm)
         rejected = rr(rebased)[1].rejected
         rejected_sets.add(rejected)
-        matchings = list(oracle._graph_matchings(reduced_graph(rebased, rejected=rejected)))
+        adj = oracle._reduced_adj(rebased, rejected)
+        matchings = list(oracle._graph_matchings(adj, [c.quota for c in rebased.categories]))
         ms = max((len(m) for m in matchings), default=0)
         out.update(tuple(sorted(m.items())) for m in matchings if len(m) == ms)
     return frozenset(out), rejected_sets
@@ -245,11 +246,12 @@ def test_pruned_walks_equal_the_unpruned_reference():
     the priority-respecting ones among the maximum matchings."""
     for inst in _guard_instances():
         base = oracle._symmetrize(inst)
+        quota = [c.quota for c in base.categories]
         for rejected in oracle._final_rejected_sets(base) | {frozenset()}:
-            g = reduced_graph(base, rejected=rejected)
-            got = oracle._graph_maximum_matchings(g)
+            adj = oracle._reduced_adj(base, rejected)
+            got = oracle._maximum_matchings(adj, quota, False)
             assert len(got) == len(set(got))
-            assert set(got) == _largest(oracle._graph_matchings(g)), (inst, rejected)
+            assert set(got) == _largest(oracle._graph_matchings(adj, quota)), (inst, rejected)
         expected = {m for m in _largest(m.assignment for m in enumerate_matchings(inst))
                     if check_respect_priorities(inst, Matching(dict(m))).holds}
         assert axiom_satisfying_set(inst) == expected, inst
@@ -257,15 +259,15 @@ def test_pruned_walks_equal_the_unpruned_reference():
 
 def test_walk_returns_the_brute_force_maximal_f_sets():
     """The F-set walk ends on exactly the maximal sets R whose reduced
-    graph keeps the full maximum, found here over all subsets with
-    max_matching_size rather than the engine's tests and undos."""
+    graph keeps the full maximum, found here over all subsets with scipy's
+    maximum flow rather than the engine's tests and undos."""
     several = 0
     for inst in _guard_instances():
         base = oracle._symmetrize(inst)
-        full = max_matching_size(reservation_graph(base))
+        full = reference_size(base)
         f_sets = [frozenset(r) for k in range(inst.n + 1)
                   for r in itertools.combinations(range(inst.n), k)
-                  if max_matching_size(reduced_graph(base, rejected=r)) == full]
+                  if reference_size(base, r) == full]
         maximal = {r for r in f_sets if not any(r < s for s in f_sets)}
         assert oracle._final_rejected_sets(base) == maximal, inst
         several += len(maximal) >= 3

@@ -7,22 +7,20 @@ import time
 import pytest
 
 from conftest import (RUNNING_DOC, classical_corpus_doc, make_instance, mg_pattern_instance,
-                      names_of)
+                      names_of, reference_size, surviving_edges)
 from reserves.axioms import (check_eligibility, check_max_beneficiary,
                              check_nonwasteful, check_order_preservation,
                              check_respect_priorities)
 from reserves.generator import random_instance
-from reserves.graph import max_matching, max_matching_size, reduced_graph, reservation_graph
 from reserves.rules import (PreconditionError, deferred_acceptance, minimum_guarantees,
                             over_and_above, rr, soft_reserves, srr)
 
 
-def _brute_force_ms(g) -> int:
+def _brute_force_ms(edges, quota) -> int:
     """Independent maximum-matching size: depth-first enumeration over the
-    graph's edges, no shared code with the kernels."""
-    agents = sorted(g.left)
-    adj = {a: sorted(c for b, c in g.edges if b == a) for a in agents}
-    quota = dict(g.right)
+    surviving edges, no shared code with the kernels."""
+    agents = sorted({a for a, _ in edges})
+    adj = {a: sorted(c for b, c in edges if b == a) for a in agents}
 
     def walk(k: int, used: dict) -> int:
         if k == len(agents):
@@ -41,10 +39,11 @@ def _brute_force_ms(g) -> int:
 
 def _naive_rejected(inst) -> set[int]:
     """Reference rejection scan using the brute-force matching size."""
-    ms_total = _brute_force_ms(reservation_graph(inst))
+    quota = [c.quota for c in inst.categories]
+    ms_total = _brute_force_ms(surviving_edges(inst), quota)
     rejected: set[int] = set()
     for i in reversed(inst.baseline):
-        if _brute_force_ms(reduced_graph(inst, rejected=rejected | {i})) == ms_total:
+        if _brute_force_ms(surviving_edges(inst, rejected | {i}), quota) == ms_total:
             rejected.add(i)
     return rejected
 
@@ -105,8 +104,7 @@ def test_rr_ms_tested_matches_fresh_matching_when_many_pairs_die():
         _, trace = rr(inst)
         rejected: set[int] = set()
         for d in trace.decisions:
-            fresh = max_matching_size(reduced_graph(inst, rejected=rejected | {d.agent}))
-            assert d.ms_tested == fresh, (seed, d)
+            assert d.ms_tested == reference_size(inst, rejected | {d.agent}), (seed, d)
             if d.rejected:
                 rejected.add(d.agent)
 
@@ -122,7 +120,7 @@ def test_rr_scan_at_50_categories(agents, density):
     t0 = time.perf_counter()
     matching, trace = rr(inst)
     elapsed = time.perf_counter() - t0
-    assert matching.size() == trace.ms_total == max_matching_size(reservation_graph(inst))
+    assert matching.size() == trace.ms_total == reference_size(inst)
     assert elapsed < 5.0, f"scan took {elapsed:.2f}s"
 
 
@@ -130,7 +128,8 @@ def test_rr_final_matching_equals_public_path():
     for seed in range(30):
         inst = random_instance(6, 3, seed=seed, eligibility_density=0.5, tie_prob=0.2)
         matching, trace = rr(inst)
-        assert matching == max_matching(reduced_graph(inst, rejected=trace.rejected))
+        assert set(matching.pairs()) <= set(surviving_edges(inst, trace.rejected))
+        assert matching.size() == reference_size(inst, trace.rejected)
 
 
 def test_rr_core_properties_random():
@@ -140,7 +139,7 @@ def test_rr_core_properties_random():
         assert check_eligibility(inst, matching).holds
         assert check_respect_priorities(inst, matching).holds
         assert check_nonwasteful(inst, matching).holds
-        assert matching.size() == max_matching_size(reservation_graph(inst))
+        assert matching.size() == reference_size(inst)
 
 
 # ---------------------------------------------------------------------------
