@@ -22,7 +22,9 @@ backward search explores only the columns from which some spare column can
 be reached. Both rely on Kuhn's lemma ("The Hungarian method for the
 assignment problem"): if no augmenting path starts at a vertex, none does
 after augmenting along other paths. It holds for columns and agents alike,
-so one pass over either side reaches maximum cardinality.
+so one pass over either side reaches maximum cardinality. Both are loops
+over an explicit stack rather than recursive calls, so a path may be as
+long as the columns are many, whatever Python's recursion limit.
 
 Every pass also stops at the capacity bound. No matching holds more pairs
 than its columns hold units, so once the units are all placed (or, in
@@ -60,24 +62,42 @@ def greedy(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, s
 
 def augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visited):
     """Try to match ``u``, rerouting already-matched agents along an
-    alternating path. Each category is entered at most once per search."""
-    for k in range(indptr[u], indptr[u + 1]):
-        c = cats[k]
-        if epos[k] > thr[c] or visited[c]:
-            continue
-        visited[c] = True
-        if used[c] < cap[c]:
-            slots[slot_base[c] + used[c]] = u
-            used[c] += 1
-            match[u] = c
-            return True
-        for s in range(slot_base[c], slot_base[c] + used[c]):
-            if augment(slots[s], indptr, cats, epos, thr, cap, used, slot_base, slots, match,
-                       visited):
-                slots[s] = u
+    alternating path. Each category is entered at most once per search, a
+    full one through its holders in slot order. The stack keeps one frame
+    per hop, (agent, next edge, column, holder's slot): the agent takes
+    that slot once a path is found."""
+    stack = []
+    k = indptr[u]
+    while True:
+        for k in range(k, indptr[u + 1]):
+            c = cats[k]
+            if epos[k] > thr[c] or visited[c]:
+                continue
+            visited[c] = True
+            if used[c] < cap[c]:
+                slots[slot_base[c] + used[c]] = u
+                used[c] += 1
                 match[u] = c
+                for u, _, c, s in stack:
+                    slots[s] = u
+                    match[u] = c
                 return True
-    return False
+            if used[c]:
+                s = slot_base[c]
+                stack.append((u, k + 1, c, s))
+                u = slots[s]
+                k = indptr[u]
+                break
+        else:
+            # u's search failed: try the next holder of the column above it
+            if not stack:
+                return False
+            u, k, c, s = stack.pop()
+            s += 1
+            if s < slot_base[c] + used[c]:
+                stack.append((u, k, c, s))
+                u = slots[s]
+                k = indptr[u]
 
 
 def augment_pass(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots):
@@ -110,32 +130,42 @@ def fill(c, s, alive, match, cptr, cagents, cpos, thr, used, slot_base, slots, v
     agents in priority order, up to the first position above ``thr[c]``. A
     matched agent's column is entered at most once per search; the caller
     marks ``c`` itself. Each write to ``slots`` and ``match`` on the path is
-    appended to ``log`` as (list, index, old value) before it is made."""
-    t = thr[c]
-    for k in range(cptr[c], cptr[c + 1]):
-        if cpos[k] > t:
+    appended to ``log`` as (list, index, old value) before it is made, the
+    hop nearest the unmatched agent first. The stack keeps one frame per
+    column above the current one: (column, slot, next edge)."""
+    stack = []
+    k = cptr[c]
+    while True:
+        t = thr[c]
+        end = cptr[c + 1]
+        while k < end and cpos[k] <= t:
+            a = cagents[k]
+            k += 1
+            if not alive[a]:
+                continue
+            m = match[a]
+            if m < 0:
+                # shift every agent on the path into the column above it
+                while True:
+                    log.append((slots, s, slots[s]))
+                    log.append((match, a, match[a]))
+                    slots[s] = a
+                    match[a] = c
+                    if not stack:
+                        return True
+                    c, s, k = stack.pop()
+                    a = cagents[k - 1]
+            if visited[m]:
+                continue
+            visited[m] = True
+            stack.append((c, s, k))
+            c, s, k = m, slots.index(a, slot_base[m], slot_base[m] + used[m]), cptr[m]
             break
-        a = cagents[k]
-        if not alive[a]:
-            continue
-        m = match[a]
-        if m < 0:
-            log.append((slots, s, slots[s]))
-            log.append((match, a, m))
-            slots[s] = a
-            match[a] = c
-            return True
-        if visited[m]:
-            continue
-        visited[m] = True
-        if fill(m, slots.index(a, slot_base[m], slot_base[m] + used[m]), alive, match, cptr,
-                cagents, cpos, thr, used, slot_base, slots, visited, log):
-            log.append((slots, s, slots[s]))
-            log.append((match, a, m))
-            slots[s] = a
-            match[a] = c
-            return True
-    return False
+        else:
+            # c's search failed: resume the column above it
+            if not stack:
+                return False
+            c, s, k = stack.pop()
 
 
 def fill_pass(alive, match, cptr, cagents, cpos, thr, cap, used, slot_base, slots, need, log):

@@ -14,6 +14,7 @@ the deterministic maximum matching of the graph the engine holds.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -28,9 +29,13 @@ class _RejectionEngine:
     ``j`` is category ``cat_ids[j]`` with capacity ``quotas[j]``. The edges
     are laid out by column in priority order (a tier's agents in id order;
     only tiers of two or more are sorted) for backward searches, and from
-    that by row for forward ones. An edge is live while its agent is alive
-    and its position is at most its column's threshold, which pruning
-    lowers. Agents are scanned in ``order``. Each
+    that by row for forward ones. The rows are filled column by column, so
+    each row lists its columns in increasing order, and an agent's position
+    in a column is found by bisecting her row. The engine holds the two
+    CSRs, the thresholds and the matching: O(agents + edges + units). An
+    edge is live while its agent is alive and its position is at most its
+    column's threshold, which pruning lowers. Agents are scanned in
+    ``order``. Each
     ``test_remove`` pushes a trail record that its ``keep`` or ``undo`` pops,
     so tests may nest and be undone innermost first; undoing a test also
     undoes the tests kept inside it. ``reject_scan`` and the tests share one
@@ -44,16 +49,13 @@ class _RejectionEngine:
         self.cptr = [0]
         self.cagents: list[int] = []
         self.cpos: list[int] = []
-        # pos[j][a]: priority position of agent a in column j (edges only)
-        self.pos = [[0] * n for _ in range(n_cols)]
         cagents, cpos = self.cagents, self.cpos
         deg = [0] * n
-        for col, pos_j in zip(tiers, self.pos):
+        for col in tiers:
             for t, tier in enumerate(col):
                 for a in sorted(tier) if len(tier) > 1 else tier:
                     cagents.append(a)
                     cpos.append(t)
-                    pos_j[a] = t
                     deg[a] += 1
             self.cptr.append(len(cagents))
         self.indptr = [0, *accumulate(deg)]
@@ -149,6 +151,8 @@ class _RejectionEngine:
 
         Only the pairs that die are unmatched: ``i``'s own and, in a column
         whose threshold pruning lowers, those of agents now ranked below it.
+        A holder's position in her column is read off her row, whose columns
+        are in increasing order, by bisection.
         The new graph is a subgraph of the old one, so its maximum is at most
         the current size, and re-augmentation stops once the lost pairs are
         made up.
@@ -162,14 +166,14 @@ class _RejectionEngine:
         engine's own matching can differ from ``fresh_matching``; only the
         size leaves it, and a maximum size is unique."""
         match, thr, used, slots, alive = self.match, self.thr, self.used, self.slots, self.alive
+        indptr, cats, epos = self.indptr, self.cats, self.epos
         alive[i] = False
         log.append((alive, i, True))
         hit = set()  # columns that may hold a dead pair
         if match[i] >= 0:
             hit.add(match[i])
         if prune:
-            cats, epos = self.cats, self.epos
-            for k in range(self.indptr[i], self.indptr[i + 1]):
+            for k in range(indptr[i], indptr[i + 1]):
                 c = cats[k]
                 if epos[k] < thr[c]:
                     log.append((thr, c, thr[c]))
@@ -177,12 +181,12 @@ class _RejectionEngine:
                     hit.add(c)
         dropped = 0
         for c in hit:
-            pos, t = self.pos[c], thr[c]
+            t = thr[c]
             base, end = self.slot_base[c], self.slot_base[c] + used[c]
             out = base
             for s in range(base, end):
                 a = slots[s]
-                if alive[a] and pos[a] <= t:
+                if alive[a] and epos[bisect_left(cats, c, indptr[a], indptr[a + 1])] <= t:
                     if out < s:
                         log.append((slots, out, slots[out]))
                         slots[out] = a

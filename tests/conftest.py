@@ -108,6 +108,29 @@ EARLY_POOL_DOC = {
 }
 
 
+def chain_doc(m: int, tail: bool, unreserved: int = 0) -> dict:
+    """m strict quota-1 categories whose augmenting paths run through all of
+    them. Agents a0 .. a{m-1} then x, in baseline order; c0 ranks x > a0
+    and cj ranks a{j-1} > aj. Without ``tail`` (chain B), the scan's removal
+    of a{m-1} re-seats x along a path from c{m-1} back to c0. With it
+    (chain F), c{m} = [a{m-1}], and the initial solve seats x along a path
+    from c0 to c{m}. ``unreserved`` adds an unreserved category of that many
+    units, split evenly."""
+    agents = [f"a{i}" for i in range(m)] + ["x"]
+    cats = [{"name": f"c{j}", "quota": 1, "kind": "preferential",
+             "tiers": [[agents[j - 1] if j else "x"], [agents[j]]], "cutoff": 2}
+            for j in range(m)]
+    if tail:
+        cats.append({"name": f"c{m}", "quota": 1, "kind": "preferential",
+                     "tiers": [[agents[m - 1]]], "cutoff": 1})
+    doc = {"agents": agents, "baseline": agents, "categories": cats}
+    if unreserved:
+        cats.append({"name": "u", "quota": unreserved, "kind": "unreserved"})
+        doc["unreserved_split"] = {"first": unreserved // 2,
+                                   "last": unreserved - unreserved // 2}
+    return doc
+
+
 @pytest.fixture
 def running():
     return make_instance(RUNNING_DOC)

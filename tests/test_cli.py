@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC, SCAN_DOC
+from conftest import (EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC, SCAN_DOC, chain_doc,
+                      make_instance, reference_size)
 import reserves
 from reserves import axioms, oracle
 from reserves.cli import main, report_doc
@@ -229,6 +230,43 @@ def test_check_max_size_on_ineligible_matching_reports_eligibility_once(
     assert code == 1
     assert [r["axiom"] for r in reports] == ["eligibility"]
     assert reports[0]["witnesses"] == [{"agent": "a3", "category": "c0"}]
+
+
+CHAIN_M = 3000  # columns on one augmenting path, three times the default recursion limit
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["chain_b", "chain_f"])
+def test_rr_on_a_chain_longer_than_the_recursion_limit(tmp_path, capsys, tail):
+    # chain B: the scan re-seats x from c{m-1} back to c0; chain F: the
+    # initial solve seats x from c0 to c{m}
+    doc = chain_doc(CHAIN_M, tail)
+    code, out = run(capsys, ["allocate", "--rule", "rr", "--instance",
+                             write(tmp_path, "i.json", doc)])
+    assert code == 0
+    assert out["size"] == reference_size(make_instance(doc))
+    assert len(out["trace"]) == CHAIN_M + 1
+
+
+def test_srr_on_a_chain_longer_than_the_recursion_limit(tmp_path, capsys):
+    doc = chain_doc(CHAIN_M, False, unreserved=2)
+    code, out = run(capsys, ["allocate", "--rule", "srr", "--instance",
+                             write(tmp_path, "i.json", doc)])
+    assert code == 0
+    assert out["size"] == reference_size(make_instance(doc))
+
+
+def test_check_short_matching_on_a_chain_longer_than_the_recursion_limit(tmp_path, capsys):
+    # one pair short of x -> c0, a{i} -> c{i+1}: the preferential optimum
+    # comes from an engine whose initial solve seats x along the whole chain
+    short = {"assignment": {f"a{i}": f"c{i + 1}" for i in range(CHAIN_M)}}
+    code = main(["check", "--instance", write(tmp_path, "i.json", chain_doc(CHAIN_M, True)),
+                 "--matching", write(tmp_path, "m.json", short), "--axioms", "max_size"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == [{
+        "axiom": "max_size", "holds": False, "witnesses_total": 1,
+        "witnesses": [{"found": CHAIN_M, "optimum": CHAIN_M + 1}]}]
+    assert captured.err.count("\n") <= 1 and "Traceback" not in captured.err
 
 
 def test_exit_codes(tmp_path, capsys):

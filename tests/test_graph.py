@@ -8,6 +8,7 @@ test_remove/keep/undo; and in a stateful model of nested tests.
 """
 
 import random
+import tracemalloc
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
@@ -96,6 +97,19 @@ def test_edges_mirror_eligibility():
     for seed in range(20):
         inst = random_instance(6, 3, seed=seed, eligibility_density=0.5, tie_prob=0.3)
         assert adj_edges(_reduced_adj(inst)) == _eligible_edges(inst)
+
+
+def test_engine_memory_follows_the_edges():
+    # 4,000 agents and 200 columns but about 4,000 edges: one n-long list per
+    # column would take 6.9 MiB, the two CSRs, thresholds and matching 0.8
+    inst = random_instance(4000, 200, max_quota=50, eligibility_density=0.005, seed=77)
+    tracemalloc.start()
+    try:
+        _RejectionEngine.of(inst, range(200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 # --- the engine's maximum matchings -----------------------------------------
