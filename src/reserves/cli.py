@@ -313,13 +313,12 @@ def cmd_allocate(args) -> int:
         # the rules that process the unreserved pools in order echo their split
         out["split"] = {"first": work.split[0], "last": work.split[1]}
     if trace is not None:
-        out["ms_total"] = trace.ms_total
-        out["rejected"] = sorted(inst.agent_names[a] for a in trace.rejected)
-        out["trace"] = [
-            {"agent": inst.agent_names[d.agent], "rejected": d.rejected,
-             "ms_tested": d.ms_tested}
-            for d in trace.decisions
-        ]
+        # written from the scan's pairs: an agent is rejected when her size is ms_total
+        out["ms_total"] = ms_total = trace.ms_total
+        names = inst.agent_names
+        out["rejected"] = sorted([names[a] for a in trace.rejected])
+        out["trace"] = [{"agent": names[i], "rejected": size == ms_total, "ms_tested": size}
+                        for i, size in trace.tested]
     _emit(args, out)
     return EXIT_OK
 

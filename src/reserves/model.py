@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Iterator, Optional, Union
 
 #: Marker for the empty slot in priority comparisons (an agent strictly above
@@ -54,13 +54,25 @@ class PriorityRanking:
     tiers: tuple[tuple[int, ...], ...]
     cutoff: int
 
+    @classmethod
+    def _resolved(cls, tiers: tuple[tuple[int, ...], ...], cutoff: int,
+                  flat: tuple[int, ...]) -> "PriorityRanking":
+        """The ranking of ``tiers``, given ``flat``, the ids of ``tiers`` in
+        order, which a parser has already built; it becomes ``_flat``."""
+        ranking = cls(tiers, cutoff)
+        ranking.__dict__["_flat"] = flat
+        return ranking
+
+    @cached_property
+    def _flat(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(self.tiers))
+
     def validate(self, n: int) -> None:
         """Raise ValidationError unless the cutoff is in range and the tiers
         are nonempty and hold distinct ids in ``range(n)``. One bulk check
         decides; only a ranking that fails it is walked agent by agent, to
         name the first offender."""
-        tiers, cutoff = self.tiers, self.cutoff
-        flat = list(chain.from_iterable(tiers))
+        tiers, cutoff, flat = self.tiers, self.cutoff, self._flat
         if (0 <= cutoff <= len(tiers) and all(tiers) and len(set(flat)) == len(flat)
                 and (not flat or 0 <= min(flat) and max(flat) < n)):
             return
@@ -137,7 +149,8 @@ class Instance:
         firsts = kinds.count(Kind.UNRESERVED_FIRST)
         if firsts > 1 or kinds.count(Kind.UNRESERVED_LAST) != firsts:
             raise ValidationError("unreserved categories must form one (first, last) pair")
-        expected = PriorityRanking(tuple(zip(self.baseline)), n)
+        # the unreserved rankings' reference, built only when the pair exists
+        expected = PriorityRanking(tuple(zip(self.baseline)), n) if firsts else None
         for c in self.categories:
             if c.quota < 0:
                 raise ValidationError(f"negative quota for category {c.name!r}")
@@ -390,19 +403,20 @@ def _resolve_all(names: list, ids: dict[str, int], where: str) -> tuple[int, ...
         raise
 
 
-def _parse_tiers(tiers_doc: list, ids: dict[str, int], where: str) -> tuple[tuple[int, ...], ...]:
-    """Resolve a ranking's tiers of agent names to tiers of ids. The names of
-    all tiers resolve in one ``_resolve_all`` pass, and the tiers are cut
-    back out of it: zipped when every tier holds one agent, as in strict
-    rankings, else sliced by tier length."""
-    for tier in tiers_doc:
-        if not isinstance(tier, list):
-            raise ParseError(f"each tier in {where} must be a JSON array")
+def _parse_tiers(tiers_doc: list, ids: dict[str, int],
+                 where: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Resolve a ranking's tiers of agent names to tiers of ids; returns the
+    tiers and their ids in order. The names of all tiers resolve in one
+    ``_resolve_all`` pass, and the tiers are cut back out of it: zipped when
+    every tier holds one agent, as in strict rankings, else sliced by tier
+    length."""
+    if not all(map(isinstance, tiers_doc, repeat(list))):
+        raise ParseError(f"each tier in {where} must be a JSON array")
     flat = _resolve_all(list(chain.from_iterable(tiers_doc)), ids, where)
     if len(flat) == len(tiers_doc) and all(tiers_doc):
-        return tuple(zip(flat))
+        return tuple(zip(flat)), flat
     ends = list(accumulate(map(len, tiers_doc)))
-    return tuple(flat[s:e] for s, e in zip([0, *ends], ends))
+    return tuple(flat[s:e] for s, e in zip([0, *ends], ends)), flat
 
 
 def parse_instance(data: Union[bytes, str]) -> Instance:
@@ -460,29 +474,32 @@ def instance_from_document(doc: dict) -> Instance:
     split = doc.get("unreserved_split")
     unreserved_doc = None
     categories: list[Category] = []
+    seen_names: set[str] = set()
     for cd in cat_docs:
         if not isinstance(cd, dict):
             raise ParseError("each category must be a JSON object")
         name = _require(cd, "name", str, "category")
-        if any(c.name == name for c in categories):
+        if name in seen_names:
             raise ValidationError(f"duplicate category name {name!r}")
+        seen_names.add(name)
         if name.endswith(("[first]", "[last]")):
             raise ValidationError(f"category name {name!r} may not end in [first] or [last]")
         quota = _require(cd, "quota", int, f"category {name!r}")
         kind = _require(cd, "kind", str, f"category {name!r}")
         if kind == "preferential":
-            tiers = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),
-                                 ids, f"category {name!r}")
+            tiers, flat = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),
+                                       ids, f"category {name!r}")
             cutoff = _require(cd, "cutoff", int, f"category {name!r}")
-            categories.append(Category(name, quota, Kind.PREFERENTIAL, PriorityRanking(tiers, cutoff)))
+            categories.append(Category(name, quota, Kind.PREFERENTIAL,
+                                       PriorityRanking._resolved(tiers, cutoff, flat)))
         elif kind == "unreserved":
             if unreserved_doc is not None:
                 raise ValidationError("more than one unreserved category")
             unreserved_doc = (name, quota, cd)
             base_ranking = PriorityRanking(tuple(zip(baseline)), n)
             if "tiers" in cd:
-                tiers = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),
-                                     ids, f"category {name!r}")
+                tiers, _ = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),
+                                        ids, f"category {name!r}")
                 cutoff = _require(cd, "cutoff", int, f"category {name!r}") if "cutoff" in cd else n
                 given = PriorityRanking(tiers, cutoff)
                 if given != base_ranking:

@@ -16,6 +16,7 @@ leftover preferential units to ineligible agents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .graph import _RejectionEngine
@@ -35,11 +36,19 @@ class RrDecision:
 
 @dataclass(frozen=True)
 class RrTrace:
-    """Scan record: per-agent decisions in scan order (lowest baseline first)."""
+    """Scan record: the scan's (agent, size tested without her) pairs in scan
+    order, lowest baseline first. An agent is rejected exactly when her size
+    equals ``ms_total``."""
 
     rejected: frozenset[int]
-    decisions: tuple[RrDecision, ...]
+    tested: tuple[tuple[int, int], ...]
     ms_total: int
+
+    @cached_property
+    def decisions(self) -> tuple[RrDecision, ...]:
+        """The pairs as per-agent decisions, built on first read."""
+        ms_total = self.ms_total
+        return tuple(RrDecision(i, size == ms_total, size) for i, size in self.tested)
 
 
 def rr(inst: Instance) -> tuple[Matching, RrTrace]:
@@ -53,9 +62,9 @@ def rr(inst: Instance) -> tuple[Matching, RrTrace]:
     """
     engine = _RejectionEngine.of(inst, range(len(inst.categories)))
     ms_total = engine.size()
-    decisions = tuple(RrDecision(i, size == ms_total, size) for i, size in engine.reject_scan())
-    rejected = frozenset(d.agent for d in decisions if d.rejected)
-    return engine.fresh_matching(), RrTrace(rejected, decisions, ms_total)
+    tested = tuple(engine.reject_scan())
+    rejected = frozenset([i for i, size in tested if size == ms_total])
+    return engine.fresh_matching(), RrTrace(rejected, tested, ms_total)
 
 
 def srr(inst: Instance) -> Matching:

@@ -13,7 +13,7 @@ import reserves
 from reserves import axioms, oracle
 from reserves.cli import main, report_doc
 from reserves.generator import random_instance
-from reserves.model import Matching, enumerate_priority_decreases
+from reserves.model import Matching, enumerate_priority_decreases, serialize_instance
 from reserves.rules import rr
 
 
@@ -43,6 +43,25 @@ def test_allocate_rr(tmp_path, capsys):
     assert doc["rejected"] == ["1"]
     assert doc["ms_total"] == 2
     assert [d["agent"] for d in doc["trace"]] == ["3", "2", "1"]
+
+
+def test_allocate_rr_trace_keys_come_from_the_decisions(tmp_path, capsys):
+    # the trace and rejected keys, written from the scan's pairs, equal those
+    # built from the per-agent decisions; ties in every other instance and
+    # unreserved units in two of three
+    for seed in range(24):
+        inst = random_instance(4 + 3 * seed, 1 + seed % 4, max_quota=3,
+                               eligibility_density=0.5, tie_prob=(0.0, 0.4)[seed % 2],
+                               seed=900 + seed, unreserved=2 * (seed % 3))
+        path = write(tmp_path, "i.json", serialize_instance(inst))
+        code, out = run(capsys, ["allocate", "--rule", "rr", "--instance", path])
+        _, trace = rr(inst)
+        names = inst.agent_names
+        assert code == 0 and out["ms_total"] == trace.ms_total
+        assert out["rejected"] == sorted(names[a] for a in trace.rejected)
+        assert out["trace"] == [{"agent": names[d.agent], "rejected": d.rejected,
+                                 "ms_tested": d.ms_tested} for d in trace.decisions]
+        assert all(list(d) == ["agent", "rejected", "ms_tested"] for d in out["trace"])
 
 
 def test_allocate_mg_and_oaa(tmp_path, capsys):
@@ -417,6 +436,17 @@ def test_category_names_are_unique(tmp_path, capsys):
         inst = write(tmp_path, "i.json", doc)
         assert f"duplicate category name {clash!r}" in input_error(
             capsys, ["allocate", "--rule", "rr", "--instance", inst])
+
+
+def test_duplicate_category_name_at_the_end_of_a_wide_document(tmp_path, capsys):
+    # each name is looked up among the earlier ones in a set: comparing it
+    # with every earlier name made parsing quadratic in the categories
+    doc = chain_doc(6000, False)
+    doc["categories"].append({"name": "c0", "quota": 1, "kind": "preferential",
+                              "tiers": [["x"]], "cutoff": 1})
+    inst = write(tmp_path, "i.json", doc)
+    assert input_error(capsys, ["allocate", "--rule", "rr", "--instance", inst]) == (
+        "error: duplicate category name 'c0'\n")
 
 
 def test_category_names_may_not_end_like_an_unreserved_pool(tmp_path, capsys):

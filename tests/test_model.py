@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from itertools import chain
 
 import pytest
 
@@ -108,6 +110,72 @@ def test_ranking_validate_names_an_unknown_id(agent):
         PriorityRanking(((0,), (agent,)), 2).validate(2)
     assert (type(e.value), str(e.value)) == (
         ValidationError, f"unknown agent id {agent} in priority ranking")
+
+
+# rankings of two agents built directly, not by the parser, and the error
+# validate names for each
+BAD_RANKINGS = [
+    (PriorityRanking(((0,), (0,)), 2), "agent 0 appears in more than one tier"),
+    (PriorityRanking(((0, 1), (1,)), 2), "agent 1 appears in more than one tier"),
+    (PriorityRanking(((0,), ()), 2), "empty tier in priority ranking"),
+    (PriorityRanking(((0,), (2,)), 2), "unknown agent id 2 in priority ranking"),
+    (PriorityRanking(((-1,),), 1), "unknown agent id -1 in priority ranking"),
+    (PriorityRanking(((0,),), 2), "cutoff 2 out of range for 1 tiers"),
+    (PriorityRanking(((0,),), -1), "cutoff -1 out of range for 1 tiers"),
+]
+BAD_IDS = ["duplicate", "duplicate-in-tier", "empty-tier", "unknown", "negative", "cutoff-high",
+           "cutoff-negative"]
+
+
+def _with_ranking(inst, c, ranking):
+    cats = list(inst.categories)
+    cats[c] = replace(cats[c], ranking=ranking)
+    return tuple(cats)
+
+
+@pytest.mark.parametrize("ranking, message", BAD_RANKINGS, ids=BAD_IDS)
+def test_directly_built_rankings_are_validated(ranking, message):
+    """Only the parser hands a ranking its flat ids; every other path still
+    validates it in full, with the same message."""
+    doc = {"agents": ["a", "b"], "baseline": ["b", "a"],
+           "categories": [{"name": "c", "quota": 1, "kind": "preferential",
+                           "tiers": [["a"], ["b"]], "cutoff": 2},
+                          {"name": "u", "quota": 2, "kind": "unreserved"}],
+           "unreserved_split": {"first": 1, "last": 1}}
+    inst = make_instance(doc)
+    expected = (ValidationError, f"category 'c': {message}")
+    with pytest.raises(ValueError) as e:
+        Instance(inst.agent_names, _with_ranking(inst, 0, ranking), inst.baseline)
+    assert (type(e.value), str(e.value)) == expected
+    with pytest.raises(ValueError) as e:
+        apply_manipulation(inst, 1, {0: ranking})
+    assert (type(e.value), str(e.value)) == expected
+    # with_split rebuilds the instance from its categories and validates them
+    # again: here an instance that skipped validation holds the bad ranking
+    unchecked = object.__new__(Instance)
+    for name, value in (("agent_names", inst.agent_names), ("baseline", inst.baseline),
+                        ("categories", _with_ranking(inst, 0, ranking))):
+        object.__setattr__(unchecked, name, value)
+    with pytest.raises(ValueError) as e:
+        unchecked.with_split(2, 0)
+    assert (type(e.value), str(e.value)) == expected
+    # and without an unreserved pair, where no baseline ranking is built
+    plain = make_instance({"agents": doc["agents"], "baseline": doc["baseline"],
+                           "categories": doc["categories"][:1]})
+    with pytest.raises(ValueError) as e:
+        Instance(plain.agent_names, _with_ranking(plain, 0, ranking), plain.baseline)
+    assert (type(e.value), str(e.value)) == expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_parsed_rankings_equal_directly_built_ones(seed):
+    inst = random_instance(3 + 4 * seed, 1 + seed % 4, eligibility_density=0.6,
+                           tie_prob=(0.0, 0.5)[seed % 2], seed=seed, unreserved=seed % 2)
+    for cat in inst.categories:
+        parsed = cat.ranking
+        direct = PriorityRanking(tuple(tuple(t) for t in parsed.tiers), parsed.cutoff)
+        assert parsed == direct and hash(parsed) == hash(direct)
+        assert parsed._flat == direct._flat == tuple(chain.from_iterable(parsed.tiers))
 
 
 def test_quota_sum_is_unconstrained():

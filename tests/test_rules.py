@@ -12,8 +12,8 @@ from reserves.axioms import (check_eligibility, check_max_beneficiary,
                              check_nonwasteful, check_order_preservation,
                              check_respect_priorities)
 from reserves.generator import random_instance
-from reserves.rules import (PreconditionError, deferred_acceptance, minimum_guarantees,
-                            over_and_above, rr, soft_reserves, srr)
+from reserves.rules import (PreconditionError, RrDecision, RrTrace, deferred_acceptance,
+                            minimum_guarantees, over_and_above, rr, soft_reserves, srr)
 
 
 def _brute_force_ms(edges, quota) -> int:
@@ -71,6 +71,25 @@ def test_rr_scan_trace(scan):
     for d in trace.decisions:
         if d.rejected:
             assert d.ms_tested == trace.ms_total
+
+
+def test_rr_trace_keeps_the_scan_pairs_and_builds_decisions_when_read():
+    # ties in every other instance, unreserved units in two of three
+    for seed in range(60):
+        inst = random_instance(4 + seed % 37, 1 + seed % 5, max_quota=3,
+                               eligibility_density=0.5, tie_prob=(0.0, 0.4)[seed % 2],
+                               seed=500 + seed, unreserved=2 * (seed % 3))
+        _, trace = rr(inst)
+        ms_total = trace.ms_total
+        fresh = RrTrace(trace.rejected, trace.tested, ms_total)
+        before = hash(trace)
+        assert "decisions" not in vars(trace)
+        agents = [i for i, _ in trace.tested]
+        assert agents == [a for a in reversed(inst.baseline) if a in set(agents)]
+        assert trace.rejected == frozenset(i for i, s in trace.tested if s == ms_total)
+        assert trace.decisions == tuple(RrDecision(i, s == ms_total, s) for i, s in trace.tested)
+        assert "decisions" in vars(trace)
+        assert trace == fresh and hash(trace) == before == hash(fresh)
 
 
 def test_rr_nothing_eligible():
