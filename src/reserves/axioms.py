@@ -145,7 +145,7 @@ def _preferential_optimum(inst: Instance) -> int:
     preferential categories. The last instance's answer is kept, so that
     ``check_max_size`` and ``check_max_beneficiary`` on one instance build
     one engine."""
-    return _RejectionEngine.of(inst, inst.preferential_ids).size()
+    return _RejectionEngine(inst, inst.preferential_ids).size()
 
 
 def _preferential_optimum_given(inst: Instance, m: Matching) -> int:

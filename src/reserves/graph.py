@@ -5,11 +5,12 @@ is eligible for; rejecting agents both removes them and prunes any edge a
 rejected agent outranks. Matching sizes of such graphs drive every rule, and
 ``_RejectionEngine`` computes them all: only it knows the CSR layout and
 calls the kernels. It lays the CSR out straight from each category's
-eligible tiers, logs every list write a tentative removal makes, kernels'
-path writes included, as (list, index, old value), and undoes the removal
-by replaying that log newest first; nothing n-long is copied. The rejection
-scan itself is the engine's ``reject_scan``, and ``fresh_matching`` gives
-the deterministic maximum matching of the graph the engine holds.
+eligible tiers. ``remove`` drops one agent and re-augments, logging every
+list write it makes, kernels' path writes included, as (list, index, old
+value) to a log its caller holds; ``revert`` replays such a log newest
+first. Nothing n-long is copied. ``scan`` is the one scan loop, behind the
+rejection scan and srr's early grants, and ``fresh_matching`` gives the
+deterministic maximum matching of the graph the engine holds.
 """
 
 from __future__ import annotations
@@ -23,36 +24,36 @@ from .model import Instance, Matching
 
 
 class _RejectionEngine:
-    """A maximum matching of a CSR graph, re-augmented after tentative removals.
+    """A maximum matching of an instance's graph, re-augmented after removals.
 
-    ``tiers[j]`` lists column ``j``'s agents by priority position, and column
-    ``j`` is category ``cat_ids[j]`` with capacity ``quotas[j]``. The edges
-    are laid out by column in priority order (a tier's agents in id order;
-    only tiers of two or more are sorted) for backward searches, and from
-    that by row for forward ones. The rows are filled column by column, so
-    each row lists its columns in increasing order, and an agent's position
-    in a column is found by bisecting her row. The engine holds the two
-    CSRs, the thresholds and the matching: O(agents + edges + units). An
-    edge is live while its agent is alive and its position is at most its
-    column's threshold, which pruning lowers. Agents are scanned in
-    ``order``. Each
-    ``test_remove`` pushes a trail record that its ``keep`` or ``undo`` pops,
-    so tests may nest and be undone innermost first; undoing a test also
-    undoes the tests kept inside it. ``reject_scan`` and the tests share one
-    removal routine (``_remove``) and one revert routine (``_revert``).
+    Column ``j`` is category ``cat_ids[j]``, with its quota as capacity and
+    its eligible tiers as edges. The edges are laid out by column in
+    priority order (a tier's agents in id order; only tiers of two or more
+    are sorted) for backward searches, and from that by row for forward
+    ones. The rows are filled column by column, so each row lists its
+    columns in increasing order, and an agent's position in a column is
+    found by bisecting her row. The engine holds the two CSRs, the
+    thresholds and the matching: O(agents + edges + units). Every agent
+    starts alive. An edge is live while its agent is alive and its position
+    is at most its column's threshold, which pruning lowers.
+
+    A caller commits a removal by dropping its log, or, inside a removal it
+    may still revert, by appending the log to that removal's log; it undoes
+    one with ``revert``. ``scan`` commits or reverts each of its removals at
+    once; the oracle's F-set walk nests them.
     """
 
-    def __init__(self, n: int, tiers: Sequence[Sequence[Sequence[int]]], cat_ids: Sequence[int],
-                 quotas: Sequence[int], active: Iterable[int], order: Iterable[int]):
-        n_cols = len(cat_ids)
+    def __init__(self, inst: Instance, cat_ids: Sequence[int]):
+        n, n_cols = inst.n, len(cat_ids)
         self.cat_ids = tuple(cat_ids)
         self.cptr = [0]
         self.cagents: list[int] = []
         self.cpos: list[int] = []
         cagents, cpos = self.cagents, self.cpos
         deg = [0] * n
-        for col in tiers:
-            for t, tier in enumerate(col):
+        for c in self.cat_ids:
+            ranking = inst.categories[c].ranking
+            for t, tier in enumerate(ranking.tiers[:ranking.cutoff]):
                 for a in sorted(tier) if len(tier) > 1 else tier:
                     cagents.append(a)
                     cpos.append(t)
@@ -67,26 +68,15 @@ class _RejectionEngine:
                 e = nxt[cagents[k]]
                 nxt[cagents[k]] = e + 1
                 self.cats[e], self.epos[e] = j, cpos[k]
-        self.cap = [min(q, max(n, 1)) for q in quotas]
+        self.cap = [min(inst.categories[c].quota, max(n, 1)) for c in self.cat_ids]
         self.slot_base = [0, *accumulate(self.cap)][:n_cols]
         self.thr = [_kernels.THR_INF] * n_cols
-        active = set(active)
-        self.alive = [a in active for a in range(n)]
-        self.order = list(order)
+        self.alive = [True] * n
+        self.order = inst.baseline  # the order matchings are solved in
         self.match, self.used, self.slots = self._solve()
         self._size = sum(self.used)
         self._fill_args = (self.cptr, self.cagents, self.cpos, self.thr, self.cap, self.used,
                            self.slot_base, self.slots)
-        self._trail: list[list] = []
-
-    @classmethod
-    def of(cls, inst: Instance, cat_ids: Sequence[int]) -> "_RejectionEngine":
-        """Engine on ``inst``'s eligibility edges into ``cat_ids``, weighted
-        by priority position (an eligible agent's tier index), every agent
-        alive, scanning in baseline order."""
-        rankings = [inst.categories[c].ranking for c in cat_ids]
-        return cls(inst.n, [r.tiers[:r.cutoff] for r in rankings], cat_ids,
-                   [inst.categories[c].quota for c in cat_ids], range(inst.n), inst.baseline)
 
     def _solve(self) -> tuple[list[int], list[int], list[int]]:
         """A maximum matching of the live graph from scratch: (match, used, slots)."""
@@ -102,50 +92,37 @@ class _RejectionEngine:
     def size(self) -> int:
         return self._size
 
-    def reject_scan(self) -> list[tuple[int, int]]:
-        """Walk the live agents from the bottom of the scan order and reject
-        each one whose removal, with pruning, keeps the matching size.
-        Returns (agent, tested size) in scan order; an agent is rejected
-        exactly when her size equals the size on entry. Call it with no test
-        pending; the engine ends on the final reduced graph.
+    def scan(self, order: Iterable[int], prune: bool,
+             limit: int | None = None) -> list[tuple[int, int]]:
+        """Remove each live agent of ``order`` in turn (pruning outranked
+        edges when asked), keep the removal when the size stays at its value
+        on entry and revert it otherwise, and stop once ``limit`` removals
+        are kept. Returns (agent, tested size) in scan order; an agent's
+        removal is kept exactly when her size equals the size on entry.
 
-        A rejection commits by dropping its step's log and a kept agent is
-        reverted by replaying it; a step whose agent is unmatched and lowers
+        The rejection scan is the scan up the baseline with pruning; srr's
+        early grants are the scan down it without pruning, up to the number
+        of early units. A kept removal commits by dropping its log, and a
+        reverted one replays it; a step whose agent is unmatched and lowers
         no threshold writes only her alive flag."""
         target, alive = self._size, self.alive
         log: list = []
         tested = []
-        for i in reversed(self.order):
+        kept = 0
+        for i in order:
+            if kept == limit:
+                break
             if alive[i]:
-                size = self._remove(i, True, log)
-                if size != target:
-                    self._revert(log, target)
+                size = self.remove(i, prune, log)
+                if size == target:
+                    kept += 1
+                else:
+                    self.revert(log, target)
                 log.clear()
                 tested.append((i, size))
         return tested
 
-    def test_remove(self, i: int, prune: bool) -> int:
-        """Tentatively drop agent ``i`` (pruning outranked edges when asked)
-        and return the new maximum matching size. Follow with keep()/undo(),
-        possibly after further tests that are themselves kept or undone.
-        The trail record holds the removal's log and the size before it."""
-        log: list = []
-        self._trail.append((log, self._size))
-        return self._remove(i, prune, log)
-
-    def keep(self) -> None:
-        """Commit the latest pending test_remove. Inside a pending test, its
-        log is appended to that test's log, so undoing the outer test undoes
-        this one too."""
-        log, _ = self._trail.pop()
-        if self._trail:
-            self._trail[-1][0].extend(log)
-
-    def undo(self) -> None:
-        """Revert the latest pending test_remove, with the tests kept inside it."""
-        self._revert(*self._trail.pop())
-
-    def _remove(self, i: int, prune: bool, log: list) -> int:
+    def remove(self, i: int, prune: bool, log: list) -> int:
         """Drop agent ``i``, re-augment, and return the new size. Every list
         write is logged to ``log`` as (list, index, old value).
 
@@ -203,7 +180,7 @@ class _RejectionEngine:
             self._size += got - dropped
         return self._size
 
-    def _revert(self, log: list, size: int) -> None:
+    def revert(self, log: list, size: int) -> None:
         """Replay ``log`` newest first, back to the state of size ``size``."""
         for values, k, old in reversed(log):
             values[k] = old

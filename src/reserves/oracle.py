@@ -235,7 +235,7 @@ def _final_rejected_sets(inst: Instance) -> set[frozenset[int]]:
     ``_walk_f_sets`` carries such agents down as dead and never tests them
     again; it reaches each F-set once, adding agents in increasing id
     order, on one engine."""
-    engine = _RejectionEngine.of(inst, range(len(inst.categories)))
+    engine = _RejectionEngine(inst, range(len(inst.categories)))
     final: set[frozenset[int]] = set()
     _walk_f_sets(engine, engine.size(), [], frozenset(), final)
     return final
@@ -246,10 +246,11 @@ def _walk_f_sets(engine: _RejectionEngine, target: int, rejected: list[int],
     """Add to ``final`` every maximal F-set that extends ``rejected`` by
     agents above its last one. The engine holds the graph after rejecting
     ``rejected``; ``dead`` holds agents whose test failed at a subset of it,
-    and so fails here too. Each live agent above the last one is tested and the
-    test undone; the walk recurses into each success with its test
-    re-applied. Without a success, the set is final unless an agent below
-    the last one, outside it and not dead, keeps the target."""
+    and so fails here too. Each live agent above the last one is removed and
+    the removal reverted; the walk recurses into each success with its
+    removal re-applied, and reverts it on return. Without a success, the set
+    is final unless an agent below the last one, outside it and not dead,
+    keeps the target."""
     start = rejected[-1] + 1 if rejected else 0
     grow, failed = [], []
     for i in range(start, len(engine.alive)):
@@ -257,11 +258,12 @@ def _walk_f_sets(engine: _RejectionEngine, target: int, rejected: list[int],
             (grow if _keeps(engine, i, target) else failed).append(i)
     dead = dead.union(failed)
     for i in grow:
-        engine.test_remove(i, prune=True)
+        log: list = []
+        engine.remove(i, True, log)
         rejected.append(i)
         _walk_f_sets(engine, target, rejected, dead, final)
         rejected.pop()
-        engine.undo()
+        engine.revert(log, target)
     if not grow:
         outside = dead.union(rejected)
         if not any(_keeps(engine, j, target) for j in range(start) if j not in outside):
@@ -269,8 +271,9 @@ def _walk_f_sets(engine: _RejectionEngine, target: int, rejected: list[int],
 
 
 def _keeps(engine: _RejectionEngine, i: int, target: int) -> bool:
-    keeps = engine.test_remove(i, prune=True) == target
-    engine.undo()
+    log: list = []
+    keeps = engine.remove(i, True, log) == target
+    engine.revert(log, target)
     return keeps
 
 

@@ -60,9 +60,9 @@ def rr(inst: Instance) -> tuple[Matching, RrTrace]:
     up matched, so the output is a maximum-size matching that complies with
     eligibility and leaves no rejected agent with justified envy.
     """
-    engine = _RejectionEngine.of(inst, range(len(inst.categories)))
+    engine = _RejectionEngine(inst, range(len(inst.categories)))
     ms_total = engine.size()
-    tested = tuple(engine.reject_scan())
+    tested = tuple(engine.scan(reversed(inst.baseline), True))
     rejected = frozenset([i for i, size in tested if size == ms_total])
     return engine.fresh_matching(), RrTrace(rejected, tested, ms_total)
 
@@ -82,21 +82,12 @@ def srr(inst: Instance) -> Matching:
     first, last = inst.split
     cf, cl = inst.unreserved_first_id, inst.unreserved_last_id
 
-    engine = _RejectionEngine.of(inst, inst.preferential_ids)
+    engine = _RejectionEngine(inst, inst.preferential_ids)
     mstar = engine.size()
-    n1: list[int] = []
-    if first > 0:
-        for i in inst.baseline:
-            if len(n1) >= first:
-                break
-            if engine.test_remove(i, prune=False) == mstar:
-                engine.keep()
-                n1.append(i)
-            else:
-                engine.undo()
+    n1 = [i for i, size in engine.scan(inst.baseline, False, first) if size == mstar]
 
     # the engine now holds a maximum matching (size m*) of the remaining agents
-    engine.reject_scan()
+    engine.scan(reversed(inst.baseline), True)
     assignment = {i: cf for i in n1}
     assignment.update(engine.fresh_matching().assignment)
 

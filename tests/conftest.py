@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,12 @@ from reserves.model import Instance, parse_instance
 
 def make_instance(doc: dict) -> Instance:
     return parse_instance(json.dumps(doc))
+
+
+def with_quotas(inst: Instance, quotas) -> Instance:
+    """``inst`` with category ``c``'s quota set to ``quotas[c]``."""
+    cats = tuple(replace(cat, quota=q) for cat, q in zip(inst.categories, quotas, strict=True))
+    return Instance(inst.agent_names, cats, inst.baseline)
 
 
 def names_of(inst: Instance, matching) -> dict[str, str]:
@@ -35,22 +42,20 @@ def adj_edges(adj) -> set[tuple[int, int]]:
     return {(a, c) for a, cats in enumerate(adj) for c, _ in cats}
 
 
-def reference_size(inst: Instance, pruned=(), unpruned=(), cats=None, quotas=None) -> int:
+def reference_size(inst: Instance, pruned=(), unpruned=(), cats=None) -> int:
     """Maximum matching size of ``surviving_edges``, by scipy's maximum flow
     on source -> agent (capacity 1) -> category (1) -> sink (the category's
-    quota, or ``quotas[c]`` when given). It shares no code with the
-    library's kernels."""
+    quota). It shares no code with the library's kernels."""
     np = pytest.importorskip("numpy")
     sparse = pytest.importorskip("scipy.sparse")
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     edges = surviving_edges(inst, pruned, unpruned, cats)
     n, m = inst.n, len(inst.categories)
     source, sink = n + m, n + m + 1
-    if quotas is None:
-        quotas = [cat.quota for cat in inst.categories]
     rows = [source] * n + [a for a, _ in edges] + [n + c for c in range(m)]
     cols = [*range(n), *(n + c for _, c in edges), *[sink] * m]
-    caps = np.array([1] * (n + len(edges)) + list(quotas), dtype=np.int32)
+    caps = np.array([1] * (n + len(edges)) + [cat.quota for cat in inst.categories],
+                    dtype=np.int32)
     graph = sparse.csr_matrix((caps, (rows, cols)), shape=(n + m + 2, n + m + 2))
     return int(csgraph.maximum_flow(graph, source, sink).flow_value)
 

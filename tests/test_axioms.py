@@ -228,9 +228,9 @@ def test_check_builds_the_preferential_engine_once(tmp_path, monkeypatch):
     given = ["--split", "1,1", "--instance", str(inst)]
     assert cli.main(["allocate", "--rule", "srr", *given, "--out", str(matching)]) == 0
     builds = []
-    of = _RejectionEngine.of.__func__
-    monkeypatch.setattr(_RejectionEngine, "of",
-                        classmethod(lambda cls, *args: builds.append(args) or of(cls, *args)))
+    init = _RejectionEngine.__init__
+    monkeypatch.setattr(_RejectionEngine, "__init__",
+                        lambda engine, *args: builds.append(args) or init(engine, *args))
     _preferential_optimum.cache_clear()
     report = tmp_path / "report.json"
     check = ["check", *given, "--matching", str(matching), "--out", str(report)]

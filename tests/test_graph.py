@@ -2,9 +2,9 @@
 
 G(R) is read off the oracle's adjacency. The engine's sizes and matchings
 are held to scipy's maximum flow or to the oracle's brute-force
-enumeration, never to the engine itself: after tentative removals, nested
-and undone or kept; in its own rejection scan against the scan over
-test_remove/keep/undo; and in a stateful model of nested tests.
+enumeration, never to the engine itself: after removals, nested and
+reverted or committed; at every step of its scans; and in a stateful model
+of nested removals.
 """
 
 import random
@@ -14,20 +14,15 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
                                  rule)
 
-from conftest import adj_edges, make_instance, reference_size
+from conftest import adj_edges, make_instance, reference_size, with_quotas
 from reserves.generator import random_instance
 from reserves.graph import _RejectionEngine
 from reserves.oracle import _reduced_adj, enumerate_matchings
 
 
-def _engine(inst, cat_ids=None, quotas=None):
-    """The engine on ``inst``'s columns ``cat_ids`` with ``quotas`` (default:
-    every category, at its quota)."""
-    if cat_ids is None:
-        return _RejectionEngine.of(inst, range(len(inst.categories)))
-    rankings = [inst.categories[c].ranking for c in cat_ids]
-    return _RejectionEngine(inst.n, [r.tiers[:r.cutoff] for r in rankings], cat_ids, quotas,
-                            range(inst.n), inst.baseline)
+def _engine(inst):
+    """The engine on every category of ``inst``."""
+    return _RejectionEngine(inst, range(len(inst.categories)))
 
 
 def _state(engine):
@@ -87,8 +82,7 @@ def test_reduced_graph_monotone_in_rejections():
             rejected.add(a)
             cur = adj_edges(_reduced_adj(inst, rejected))
             assert cur <= prev
-            engine.test_remove(a, prune=True)
-            engine.keep()
+            engine.remove(a, True, [])
             assert engine.size() == reference_size(inst, rejected) <= full
             prev = cur
 
@@ -105,7 +99,7 @@ def test_engine_memory_follows_the_edges():
     inst = random_instance(4000, 200, max_quota=50, eligibility_density=0.005, seed=77)
     tracemalloc.start()
     try:
-        _RejectionEngine.of(inst, range(200))
+        _RejectionEngine(inst, range(200))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -118,8 +112,8 @@ def test_max_matching_size_golden(running, scan):
     assert _engine(running).size() == 2
     # without agents 3 and 4 only agent 1 keeps edges: one agent, one unit
     engine = _engine(scan)
-    engine.test_remove(2, prune=True)
-    assert engine.test_remove(3, prune=True) == 1
+    engine.remove(2, True, [])
+    assert engine.remove(3, True, []) == 1
 
 
 def test_max_matching_forced_and_unique(scan):
@@ -128,8 +122,8 @@ def test_max_matching_forced_and_unique(scan):
     assert _engine(inst).fresh_matching().assignment == {0: 0}
     # after rejecting 2 and 4 the only size-2 matching is 1->c1, 3->c2
     engine = _engine(scan)
-    engine.test_remove(1, prune=True)
-    engine.test_remove(3, prune=True)
+    engine.remove(1, True, [])
+    engine.remove(3, True, [])
     assert engine.fresh_matching().assignment == {0: 0, 2: 1}
 
 
@@ -185,7 +179,7 @@ def test_engine_refills_a_column_spare_before_the_removal():
                               [("A", 1, [["i"], ["x"]]), ("B", 1, [["x"]]), ("C", 1, [["i"]])]))
     engine = _engine(inst)
     assert engine.match == [2, 0] and engine.used[1] == 0
-    assert engine.test_remove(0, prune=True) == 1 == reference_size(inst, {0})
+    assert engine.remove(0, True, []) == 1 == reference_size(inst, {0})
     assert engine.match[1] == 1
     _assert_consistent(engine)
 
@@ -197,7 +191,7 @@ def test_engine_refills_a_freed_column_from_an_agent_already_unmatched():
                               [("A", 1, [["z"], ["i"]]), ("B", 1, [["z"], ["y"]])]))
     engine = _engine(inst)
     assert engine.match == [0, 1, -1]
-    assert engine.test_remove(0, prune=True) == 2 == reference_size(inst, {0})
+    assert engine.remove(0, True, []) == 2 == reference_size(inst, {0})
     assert engine.match == [-1, 0, 1]
     _assert_consistent(engine)
 
@@ -211,22 +205,23 @@ def test_engine_clears_dead_marks_after_each_augmentation():
                                ("B", 2, [["b"], ["e"], ["a"], ["d"]])]))
     engine = _engine(inst)
     assert engine.match == [1, -1, 0, 1]
-    assert engine.test_remove(0, prune=True) == 3 == reference_size(inst, {0})
+    assert engine.remove(0, True, []) == 3 == reference_size(inst, {0})
     _assert_consistent(engine)
 
 
 def _walk(engine, inst, target, rejected, unscanned, seen):
-    # the oracle's walk: a rejecting test stays pending while it goes deeper
+    # the oracle's walk: a rejecting removal stays pending while it goes deeper
     if (rejected, unscanned) in seen:
         return
     seen.add((rejected, unscanned))
     for i in unscanned:
-        size = engine.test_remove(i, prune=True)
+        log, before = [], engine.size()
+        size = engine.remove(i, True, log)
         assert size == reference_size(inst, rejected | {i}), (rejected, i)
         _assert_consistent(engine)
         if size == target:
             _walk(engine, inst, target, rejected | {i}, unscanned - {i}, seen)
-        engine.undo()
+        engine.revert(log, before)
         assert engine.size() == reference_size(inst, rejected)
         if size != target:
             _walk(engine, inst, target, rejected, unscanned - {i}, seen)
@@ -242,8 +237,10 @@ def test_engine_sizes_in_nested_test_and_undo_sequences():
 
 def test_engine_sizes_under_random_keep_and_undo():
     # scarce instances, so that removals often drop several pairs at once;
-    # a test kept while an outer one is pending is undone with the outer one,
-    # and every undo restores the engine exactly as it was before its test
+    # each pending removal holds its log and the size before it, a removal
+    # committed while an outer one is pending extends the outer one's log and
+    # is reverted with it, and every revert restores the engine exactly as it
+    # was before its removal
     rng = random.Random(5)
     for seed in range(60):
         inst = random_instance(rng.randint(8, 30), rng.randint(2, 6),
@@ -251,24 +248,29 @@ def test_engine_sizes_under_random_keep_and_undo():
                                eligibility_density=rng.choice((0.3, 0.5)),
                                tie_prob=rng.choice((0.0, 0.4)), seed=seed)
         engine = _engine(inst)
-        # removals per level: the committed ones, then one list per pending test
+        # removals per level: the committed ones, then one list per pending one
         levels: list[list[tuple[int, bool]]] = [[]]
-        before = []  # the engine's state before each pending test
+        pending = []  # (log, size before) of each pending removal
+        before = []  # the engine's state before each pending removal
         for _ in range(2 * inst.n):
             alive = [a for a in range(inst.n) if engine.alive[a]]
             if len(levels) > 1 and (not alive or rng.random() < 0.4):
                 done = levels.pop()
                 state = before.pop()
+                log, size = pending.pop()
                 if rng.random() < 0.5:
-                    engine.keep()
+                    if pending:
+                        pending[-1][0].extend(log)
                     levels[-1] += done
                 else:
-                    engine.undo()
+                    engine.revert(log, size)
                     assert _state(engine) == state, (seed, levels)
             elif alive:
                 test = (rng.choice(alive), rng.random() < 0.7)
                 before.append(_state(engine))
-                engine.test_remove(*test)
+                log = []
+                pending.append((log, engine.size()))
+                engine.remove(*test, log)
                 levels.append([test])
             removed = [test for level in levels for test in level]
             expected = reference_size(inst, {a for a, p in removed if p},
@@ -277,41 +279,11 @@ def test_engine_sizes_under_random_keep_and_undo():
             _assert_consistent(engine)
 
 
-# --- the engine's own scan, and nested tests as a state machine -------------
-
-def _reject_scan_by_tests(engine):
-    """The reference scan: a test_remove per live agent from the bottom,
-    kept when the size holds, else undone."""
-    target = engine.size()
-    tested = []
-    for i in reversed(engine.order):
-        if not engine.alive[i]:
-            continue
-        size = engine.test_remove(i, prune=True)
-        if size == target:
-            engine.keep()
-        else:
-            engine.undo()
-        tested.append((i, size))
-    return tested
-
-
-def _srr_phase_1(engine, inst, first):
-    """srr's early grants: untested removals without pruning, kept while the
-    preferential maximum holds, until ``first`` agents are granted."""
-    target, granted = engine.size(), 0
-    for i in inst.baseline:
-        if granted >= first:
-            break
-        if engine.test_remove(i, prune=False) == target:
-            engine.keep()
-            granted += 1
-        else:
-            engine.undo()
-
+# --- the engine's scans, and nested removals as a state machine ------------
 
 def _case(seed):
-    """(case, instance, column ids, quotas, early grants) for a seed."""
+    """(case, instance, early grants) for a seed. The "zero" case's instance
+    has about half its quotas set to 0."""
     rng = random.Random(seed)
     case = ("scarce", "abundant", "tied", "zero", "unreserved")[seed % 5]
     n = rng.randint(1, 10) if case == "abundant" else rng.randint(10, 40)
@@ -319,80 +291,111 @@ def _case(seed):
                            eligibility_density=rng.choice((0.3, 0.6, 0.9)),
                            tie_prob=0.5 if case == "tied" else 0.0, seed=seed,
                            unreserved=rng.randint(1, n) if case == "unreserved" else 0)
-    cat_ids = inst.preferential_ids
-    quotas = [inst.categories[c].quota for c in cat_ids]
     if case == "zero":
-        quotas = [q if rng.random() < 0.5 else 0 for q in quotas]
+        inst = with_quotas(inst, [cat.quota if rng.random() < 0.5 else 0
+                                  for cat in inst.categories])
     first = rng.randint(0, inst.unreserved_quota) if case == "unreserved" else 0
-    return case, inst, cat_ids, quotas, first
+    return case, inst, first
 
 
-def test_engine_scan_equals_the_scan_over_tests():
-    seen = {}
+def test_engine_scan_sizes_equal_the_reference():
+    # srr's two scans on the preferential columns: its early grants, down the
+    # baseline without pruning and up to ``first`` kept removals, then the
+    # rejection scan; every tested size is scipy's maximum on the removals
+    # made so far
+    seen, stops = {}, {"limit": 0, "baseline": 0}
     for seed in range(250):
-        case, inst, cat_ids, quotas, first = _case(seed)
-        units = sum(quotas)
+        case, inst, first = _case(seed)
+        pref = inst.preferential_ids
+        units = sum(inst.categories[c].quota for c in pref)
         if (case == "scarce" and units >= inst.n) or (case == "abundant" and units <= inst.n):
             continue
         seen[case] = seen.get(case, 0) + 1
-        old, new = _engine(inst, cat_ids, quotas), _engine(inst, cat_ids, quotas)
-        _srr_phase_1(old, inst, first)
-        _srr_phase_1(new, inst, first)
-        assert _state(old) == _state(new), seed
-        assert new.reject_scan() == _reject_scan_by_tests(old), seed
-        assert _state(new) == _state(old), seed
-        assert not new._trail and not old._trail
+        engine = _RejectionEngine(inst, pref)
+        target, state = engine.size(), _state(engine)
+        assert engine.scan(inst.baseline, False, 0) == [] and _state(engine) == state, seed
+        granted = []
+        tested = engine.scan(inst.baseline, False, first)
+        for i, size in tested:
+            assert size == reference_size(inst, (), granted + [i], pref), (seed, i)
+            if size == target:
+                granted.append(i)
+        assert len(granted) <= first, seed
+        if len(granted) < first:
+            stops["baseline"] += 1
+            assert [i for i, _ in tested] == list(inst.baseline), seed
+        elif first:
+            stops["limit"] += 1
+            assert tested[-1] == (granted[-1], target), seed
+        else:
+            assert tested == [], seed
+        rejected = []
+        tested = engine.scan(reversed(inst.baseline), True)
+        for i, size in tested:
+            assert size == reference_size(inst, rejected + [i], granted, pref), (seed, i)
+            if size == target:
+                rejected.append(i)
+        assert [i for i, _ in tested] == [i for i in reversed(inst.baseline) if i not in granted]
+        assert engine.size() == target, seed
+        _assert_consistent(engine)
     assert len(seen) == 5 and min(seen.values()) >= 30, seen
+    assert min(stops.values()) >= 5, stops
 
 
 class EngineMachine(RuleBasedStateMachine):
-    """Nested tests on one engine: each test is kept or undone innermost
-    first, the size is the reference maximum and the matching consistent
-    after every step, and each undo restores the engine exactly as it was
-    before its test."""
+    """Nested removals on one engine, each pending one held as its log and
+    the size before it: each is committed, extending the log of the one
+    pending around it, or reverted, innermost first. The size is the
+    reference maximum and the matching consistent after every step, and
+    each revert restores the engine exactly as it was before its removal."""
 
     @initialize(seed=st.integers(0, 10**6))
     def build(self, seed):
         rng = random.Random(seed)
         n, n_cats = rng.randint(3, 12), rng.randint(2, 5)
-        self.inst = random_instance(n, n_cats, max_quota=1,
-                                    eligibility_density=rng.choice((0.4, 0.7)),
-                                    tie_prob=rng.choice((0.0, 0.4)), seed=seed)
         # quotas drawn apart from the generator's leave columns spare, so a
         # pruned agent often moves to a column that no dead pair freed
-        self.quotas = [rng.randint(0, 4) for _ in range(n_cats)]
-        self.engine = _engine(self.inst, range(n_cats), self.quotas)
-        self.levels = [[]]  # removals: the committed ones, then one list per pending test
-        self.before = []  # the engine's state before each pending test
+        self.inst = with_quotas(random_instance(n, n_cats, max_quota=1,
+                                                eligibility_density=rng.choice((0.4, 0.7)),
+                                                tie_prob=rng.choice((0.0, 0.4)), seed=seed),
+                                [rng.randint(0, 4) for _ in range(n_cats)])
+        self.engine = _engine(self.inst)
+        self.levels = [[]]  # removals: the committed ones, then one list per pending one
+        self.pending = []  # (log, size before) of each pending removal
+        self.before = []  # the engine's state before each pending removal
 
     @precondition(lambda self: any(self.engine.alive))
     @rule(pick=st.integers(0, 10**6), prune=st.booleans())
-    def test_remove(self, pick, prune):
+    def remove(self, pick, prune):
         alive = [a for a, live in enumerate(self.engine.alive) if live]
         i = alive[pick % len(alive)]
         self.before.append(_state(self.engine))
-        self.engine.test_remove(i, prune)
+        log = []
+        self.pending.append((log, self.engine.size()))
+        self.engine.remove(i, prune, log)
         self.levels.append([(i, prune)])
 
     @precondition(lambda self: not self.before and not any(self.engine.alive))
     @rule()
     def restart(self):
-        self.engine = _engine(self.inst, range(len(self.quotas)), self.quotas)
+        self.engine = _engine(self.inst)
         self.levels = [[]]
 
     @precondition(lambda self: self.before)
     @rule()
-    def keep(self):
+    def commit(self):
         self.before.pop()
-        self.engine.keep()
+        log, _ = self.pending.pop()
+        if self.pending:
+            self.pending[-1][0].extend(log)
         done = self.levels.pop()
         self.levels[-1] += done
 
     @precondition(lambda self: self.before)
     @rule()
-    def undo(self):
+    def revert(self):
         state = self.before.pop()
-        self.engine.undo()
+        self.engine.revert(*self.pending.pop())
         self.levels.pop()
         assert _state(self.engine) == state
 
@@ -403,7 +406,7 @@ class EngineMachine(RuleBasedStateMachine):
         removed = [test for level in self.levels for test in level]
         pruned = {a for a, p in removed if p}
         unpruned = {a for a, p in removed if not p}
-        assert self.engine.size() == reference_size(self.inst, pruned, unpruned, quotas=self.quotas)
+        assert self.engine.size() == reference_size(self.inst, pruned, unpruned)
         _assert_consistent(self.engine)
 
 

@@ -3,7 +3,7 @@ explicit-stack searches follow the recursive ones hop for hop."""
 
 import random
 
-from conftest import chain_doc, make_instance
+from conftest import chain_doc, make_instance, with_quotas
 from reserves import _kernels
 from reserves.generator import random_instance
 from reserves.graph import _RejectionEngine
@@ -54,10 +54,8 @@ def _solve_unbounded(engine):
     return match, used, slots
 
 
-def _engine(inst, quotas):
-    rankings = [cat.ranking for cat in inst.categories]
-    return _RejectionEngine(inst.n, [r.tiers[:r.cutoff] for r in rankings],
-                            range(len(rankings)), quotas, range(inst.n), inst.baseline)
+def _engine(inst):
+    return _RejectionEngine(inst, range(len(inst.categories)))
 
 
 def test_capacity_bound_stop_changes_no_matching():
@@ -79,12 +77,11 @@ def test_capacity_bound_stop_changes_no_matching():
                     else "abundant" if units > inst.n else None):
             continue
         seen[case] += 1
-        engine = _engine(inst, quotas)
+        engine = _engine(with_quotas(inst, quotas))
         assert engine._solve() == _solve_unbounded(engine), seed
         # and on reduced graphs: dead agents and lowered thresholds
         for i in rng.sample(range(inst.n), min(inst.n, 3)):
-            engine.test_remove(i, prune=rng.random() < 0.5)
-            engine.keep()
+            engine.remove(i, rng.random() < 0.5, [])
             assert engine._solve() == _solve_unbounded(engine), seed
     assert min(seen.values()) >= 50, seen
 
@@ -220,12 +217,11 @@ def test_explicit_stack_searches_equal_the_recursive_ones():
         inst = random_instance(rng.randint(5, 60), rng.randint(1, 12), max_quota=rng.choice((1, 3)),
                                eligibility_density=rng.choice((0.2, 0.5, 0.9)),
                                tie_prob=rng.choice((0.0, 0.5)), seed=seed)
-        engine = _engine(inst, [cat.quota for cat in inst.categories])
+        engine = _engine(inst)
         _assert_same_searches(engine, rng)
         # and on reduced graphs: dead agents and lowered thresholds
         for i in rng.sample(range(inst.n), min(inst.n, 3)):
-            engine.test_remove(i, prune=rng.random() < 0.5)
-            engine.keep()
+            engine.remove(i, rng.random() < 0.5, [])
             _assert_same_searches(engine, rng)
 
 
@@ -234,7 +230,7 @@ def test_explicit_stack_searches_equal_the_recursive_ones_on_chains():
     for m in (1, 2, 5, 40, 300):
         for tail in (False, True):
             inst = make_instance(chain_doc(m, tail))
-            engine = _engine(inst, [cat.quota for cat in inst.categories])
+            engine = _engine(inst)
             _assert_same_searches(engine, random.Random(m))
             # chain B: a{m-1} leaves, and x is re-seated along the whole chain;
             # chain F: x leaves, and the search from c0 fails at the far end

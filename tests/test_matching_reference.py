@@ -32,7 +32,7 @@ def test_max_matching_size_equals_reference():
     max_beneficiary), and srr's preferential count at three splits."""
     for seed, inst in instances():
         ref, pref = reference_size(inst), reference_size(inst, cats=inst.preferential_ids)
-        engine = _RejectionEngine.of(inst, range(len(inst.categories)))
+        engine = _RejectionEngine(inst, range(len(inst.categories)))
         m = engine.fresh_matching()
         assert engine.size() == m.size() == ref, seed
         assert set(m.pairs()) <= set(surviving_edges(inst)), seed

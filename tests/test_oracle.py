@@ -275,20 +275,20 @@ def test_walk_returns_the_brute_force_maximal_f_sets():
 
 
 def test_corrupted_scan_is_detected(scan, monkeypatch):
-    """An engine that under-reports its first rejecting test must surface as
-    a discrepancy."""
-    real_test_remove = _RejectionEngine.test_remove
+    """An engine that under-reports its first rejecting removal must surface
+    as a discrepancy."""
+    real_remove = _RejectionEngine.remove
     corrupted = []
 
-    def miss_first_rejection(engine, i, prune):
+    def miss_first_rejection(engine, i, prune, log):
         before = engine.size()
-        size = real_test_remove(engine, i, prune)
+        size = real_remove(engine, i, prune, log)
         if size == before and not corrupted:
             corrupted.append(i)
             return size - 1
         return size
 
-    monkeypatch.setattr(_RejectionEngine, "test_remove", miss_first_rejection)
+    monkeypatch.setattr(_RejectionEngine, "remove", miss_first_rejection)
     rep = verify_characterization(scan)
     assert corrupted
     assert not rep.ok and rep.only_rule_side
