@@ -18,7 +18,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .graph import _RejectionEngine
 from .model import (Instance, Matching, ValidationError,
@@ -250,26 +250,6 @@ def _rule_fn(rule: str) -> Callable[[Instance], Matching]:
     return HARNESS_RULES[rule]
 
 
-def _manipulated_outcomes(fn: Callable[[Instance], Matching], inst: Instance, agent: int,
-                          budget: int) -> Iterator[tuple[int, Optional[Matching]]]:
-    """(index, rule outcome) for each enumerated priority decrease of
-    ``agent``; the outcome is None where the manipulated instance is outside
-    the rule's domain."""
-    for idx, manipulated in enumerate(enumerate_priority_decreases(inst, agent, budget)):
-        try:
-            after = fn(manipulated)
-        except PreconditionError:
-            after = None
-        yield idx, after
-
-
-def _harness_note(budget: int, skipped: int) -> str:
-    note = f"within tested manipulation space (hide subsets + demotions, budget={budget})"
-    if skipped:
-        note += f"; {skipped} manipulated instances outside the rule's domain skipped"
-    return note
-
-
 def harness_reports(rule: str, inst: Instance, base: Matching, budget: int = 8,
                     max_witnesses: int = MAX_WITNESSES) -> dict[str, AxiomReport]:
     """The strategyproofness and weak non-bossiness reports, by axiom name,
@@ -282,8 +262,10 @@ def harness_reports(rule: str, inst: Instance, base: Matching, budget: int = 8,
     for i in range(inst.n):
         if base.is_matched(i):
             continue
-        for idx, after in _manipulated_outcomes(fn, inst, i, budget):
-            if after is None:
+        for idx, manipulated in enumerate(enumerate_priority_decreases(inst, i, budget)):
+            try:
+                after = fn(manipulated)
+            except PreconditionError:
                 skipped += 1
                 continue
             if after.is_matched(i):
@@ -291,7 +273,9 @@ def harness_reports(rule: str, inst: Instance, base: Matching, budget: int = 8,
             flipped = base.assignment.keys() ^ after.assignment.keys()
             bossy.extend(NonBossinessWitness(i, idx, j, base.is_matched(j), after.is_matched(j))
                          for j in sorted(flipped) if pos[i] < pos[j])
-    note = _harness_note(budget, skipped)
+    note = f"within tested manipulation space (hide subsets + demotions, budget={budget})"
+    if skipped:
+        note += f"; {skipped} manipulated instances outside the rule's domain skipped"
     return {"strategyproofness": _report("strategyproofness", manipulations, max_witnesses,
                                          note),
             "weak_nonbossiness": _report("weak_nonbossiness", bossy, max_witnesses, note)}

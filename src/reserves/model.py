@@ -70,11 +70,15 @@ class PriorityRanking:
     def validate(self, n: int) -> None:
         """Raise ValidationError unless the cutoff is in range and the tiers
         are nonempty and hold distinct ids in ``range(n)``. One bulk check
-        decides; only a ranking that fails it is walked agent by agent, to
-        name the first offender."""
+        decides, and its success is recorded for ``n``, so a ranking shared
+        by derived instances is checked once; only a ranking that fails it
+        is walked agent by agent, to name the first offender."""
+        if self.__dict__.get("_valid_for") == n:
+            return
         tiers, cutoff, flat = self.tiers, self.cutoff, self._flat
         if (0 <= cutoff <= len(tiers) and all(tiers) and len(set(flat)) == len(flat)
                 and (not flat or 0 <= min(flat) and max(flat) < n)):
+            self.__dict__["_valid_for"] = n
             return
         if not 0 <= cutoff <= len(tiers):
             raise ValidationError(f"cutoff {cutoff} out of range for {len(tiers)} tiers")
@@ -144,7 +148,7 @@ class Instance:
         if len(set(self.agent_names)) != n:
             raise ValidationError("duplicate agent names")
         if sorted(self.baseline) != list(range(n)):
-            raise ValidationError("baseline is not a permutation of all agents")
+            raise ValidationError("baseline must list every agent exactly once")
         kinds = [c.kind for c in self.categories]
         firsts = kinds.count(Kind.UNRESERVED_FIRST)
         if firsts > 1 or kinds.count(Kind.UNRESERVED_LAST) != firsts:
@@ -322,20 +326,26 @@ def priority_decrease_holds(old: Instance, new: Instance, agent: int) -> bool:
     return True
 
 
+def _with_rankings(inst: Instance, rankings: dict[int, PriorityRanking]) -> Instance:
+    """``inst`` with the given {category id: ranking} map swapped in."""
+    cats = list(inst.categories)
+    for c, ranking in rankings.items():
+        cats[c] = replace(cats[c], ranking=ranking)
+    return Instance(inst.agent_names, tuple(cats), inst.baseline)
+
+
 def apply_manipulation(inst: Instance, agent: int,
                        rankings: dict[int, PriorityRanking]) -> Instance:
     """``inst`` with ``agent``'s report changed to the given {category id:
     ranking} map; reject anything that is not a pure priority decrease."""
     if not 0 <= agent < inst.n:
         raise ValidationError(f"unknown agent id {agent}")
-    cats = list(inst.categories)
-    for c, ranking in rankings.items():
-        if not 0 <= c < len(cats):
+    for c in rankings:
+        if not 0 <= c < len(inst.categories):
             raise ValidationError(f"unknown category id {c}")
-        if cats[c].kind.is_unreserved:
+        if inst.categories[c].kind.is_unreserved:
             raise ValidationError("unreserved rankings are fixed to the baseline")
-        cats[c] = replace(cats[c], ranking=ranking)
-    out = Instance(inst.agent_names, tuple(cats), inst.baseline)
+    out = _with_rankings(inst, rankings)
     if not priority_decrease_holds(inst, out, agent):
         raise ValidationError("rankings would raise the agent's priority")
     return out
@@ -347,17 +357,18 @@ def enumerate_priority_decreases(inst: Instance, i: int, budget: int = 8) -> Ite
     Every nonempty hide-subset of ``i``'s eligible preferential categories is
     always produced; one-tier-down demotions are appended while the total
     yield stays within ``budget``. Order is deterministic. The outputs are
-    distinct without a check: each hide leaves ``i`` alone in a new last
-    tier of its categories, and each demotion moves her into an existing
-    tier of one category.
+    priority decreases and distinct by construction, so neither is checked:
+    ``_moved`` only moves ``i`` down, each hide leaves her alone in a new
+    last tier of its categories, and each demotion moves her into an
+    existing tier of one category.
     """
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
     rankings = {c: inst.categories[c].ranking for c in inst.preferential_ids}
     hidden = {c: _moved(r, i, len(r.tiers)) for c, r in rankings.items() if r.is_eligible(i)}
     for mask in range(1, 1 << len(hidden)):
-        yield apply_manipulation(inst, i, {c: r for b, (c, r) in enumerate(hidden.items())
-                                           if mask >> b & 1})
+        yield _with_rankings(inst, {c: r for b, (c, r) in enumerate(hidden.items())
+                                    if mask >> b & 1})
 
     produced = (1 << len(hidden)) - 1
     for c, r in rankings.items():
@@ -366,7 +377,7 @@ def enumerate_priority_decreases(inst: Instance, i: int, budget: int = 8) -> Ite
         ti = r._tier_of.get(i)
         if ti is not None and ti + 1 < len(r.tiers):
             produced += 1
-            yield apply_manipulation(inst, i, {c: _moved(r, i, ti + 1)})
+            yield _with_rankings(inst, {c: _moved(r, i, ti + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +471,10 @@ def instance_from_document(doc: dict) -> Instance:
     for a in agent_names:
         if not isinstance(a, str) or not a:
             raise ParseError("agent names must be non-empty strings")
-    if len(set(agent_names)) != len(agent_names):
-        raise ValidationError("duplicate agent names")
     ids = {a: i for i, a in enumerate(agent_names)}
     n = len(agent_names)
 
-    baseline_names = _require(doc, "baseline", list, "document")
-    baseline = _resolve_all(baseline_names, ids, "baseline")
-    if sorted(baseline) != list(range(n)):
-        raise ValidationError("baseline must list every agent exactly once")
+    baseline = _resolve_all(_require(doc, "baseline", list, "document"), ids, "baseline")
 
     cat_docs = _require(doc, "categories", list, "document")
     split = doc.get("unreserved_split")
@@ -497,15 +503,15 @@ def instance_from_document(doc: dict) -> Instance:
                 raise ValidationError("more than one unreserved category")
             unreserved_doc = (name, quota, cd)
             base_ranking = PriorityRanking(tuple(zip(baseline)), n)
+            tiers = base_ranking.tiers
             if "tiers" in cd:
                 tiers, _ = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),
                                         ids, f"category {name!r}")
-                cutoff = _require(cd, "cutoff", int, f"category {name!r}") if "cutoff" in cd else n
-                given = PriorityRanking(tiers, cutoff)
-                if given != base_ranking:
-                    raise ValidationError(
-                        f"unreserved category {name!r} priority must equal the baseline"
-                    )
+            cutoff = _require(cd, "cutoff", int, f"category {name!r}") if "cutoff" in cd else n
+            if (tiers, cutoff) != (base_ranking.tiers, n):
+                raise ValidationError(
+                    f"unreserved category {name!r} priority must equal the baseline"
+                )
             first, last = 0, quota
             if split is not None:
                 if not isinstance(split, dict):

@@ -16,7 +16,6 @@ leftover preferential units to ineligible agents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .graph import _RejectionEngine
@@ -28,13 +27,6 @@ class PreconditionError(ValueError):
 
 
 @dataclass(frozen=True)
-class RrDecision:
-    agent: int
-    rejected: bool
-    ms_tested: int
-
-
-@dataclass(frozen=True)
 class RrTrace:
     """Scan record: the scan's (agent, size tested without her) pairs in scan
     order, lowest baseline first. An agent is rejected exactly when her size
@@ -43,12 +35,6 @@ class RrTrace:
     rejected: frozenset[int]
     tested: tuple[tuple[int, int], ...]
     ms_total: int
-
-    @cached_property
-    def decisions(self) -> tuple[RrDecision, ...]:
-        """The pairs as per-agent decisions, built on first read."""
-        ms_total = self.ms_total
-        return tuple(RrDecision(i, size == ms_total, size) for i, size in self.tested)
 
 
 def rr(inst: Instance) -> tuple[Matching, RrTrace]:

@@ -42,7 +42,7 @@ def test_criterion_1_running_example_every_ordering(running):
 
 def test_criterion_2_scan_trace(scan):
     matching, trace = rr(scan)
-    scan_order = [(scan.agent_names[d.agent], d.rejected) for d in trace.decisions]
+    scan_order = [(scan.agent_names[i], i in trace.rejected) for i, _ in trace.tested]
     assert scan_order == [("4", True), ("3", False), ("2", True), ("1", False)]
     assert names_of(scan, matching) == {"1": "c1", "3": "c2"}
     _pass(2, "scan rejects 4 then 2, accepts 3 and 1, outputs {1->c1, 3->c2}")

@@ -45,10 +45,10 @@ def test_allocate_rr(tmp_path, capsys):
     assert [d["agent"] for d in doc["trace"]] == ["3", "2", "1"]
 
 
-def test_allocate_rr_trace_keys_come_from_the_decisions(tmp_path, capsys):
-    # the trace and rejected keys, written from the scan's pairs, equal those
-    # built from the per-agent decisions; ties in every other instance and
-    # unreserved units in two of three
+def test_allocate_rr_trace_keys_come_from_the_scan_pairs(tmp_path, capsys):
+    # the trace and rejected keys equal those built from the library's scan
+    # pairs and rejected set; ties in every other instance and unreserved
+    # units in two of three
     for seed in range(24):
         inst = random_instance(4 + 3 * seed, 1 + seed % 4, max_quota=3,
                                eligibility_density=0.5, tie_prob=(0.0, 0.4)[seed % 2],
@@ -59,8 +59,8 @@ def test_allocate_rr_trace_keys_come_from_the_decisions(tmp_path, capsys):
         names = inst.agent_names
         assert code == 0 and out["ms_total"] == trace.ms_total
         assert out["rejected"] == sorted(names[a] for a in trace.rejected)
-        assert out["trace"] == [{"agent": names[d.agent], "rejected": d.rejected,
-                                 "ms_tested": d.ms_tested} for d in trace.decisions]
+        assert out["trace"] == [{"agent": names[i], "rejected": i in trace.rejected,
+                                 "ms_tested": size} for i, size in trace.tested]
         assert all(list(d) == ["agent", "rejected", "ms_tested"] for d in out["trace"])
 
 

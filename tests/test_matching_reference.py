@@ -75,10 +75,10 @@ def test_rr_ms_tested_equals_reference():
         _, trace = rr(inst)
         assert trace.ms_total == reference_size(inst), seed
         rejected: set[int] = set()
-        for d in trace.decisions:
-            assert d.ms_tested == reference_size(inst, rejected | {d.agent}), (seed, d)
-            if d.rejected:
-                rejected.add(d.agent)
+        for i, size in trace.tested:
+            assert size == reference_size(inst, rejected | {i}), (seed, i)
+            if i in trace.rejected:
+                rejected.add(i)
 
 
 def test_cli_import_leaves_numpy_unloaded():

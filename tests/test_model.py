@@ -67,6 +67,12 @@ def _doc(tiers=(["a"],), cutoff=1, baseline=("a", "b")) -> dict:
                             "tiers": list(tiers), "cutoff": cutoff}]}
 
 
+def _unreserved_doc(cutoff) -> dict:
+    """An unreserved category given a cutoff and no tiers."""
+    return {"agents": ["a", "b"], "baseline": ["a", "b"],
+            "categories": [{"name": "u", "quota": 1, "kind": "unreserved", "cutoff": cutoff}]}
+
+
 NOT_A_STRING = "agent reference in category 'c' must be a string"
 UNKNOWN = "unknown agent 'zz' in category 'c'"
 EMPTY_TIER = "category 'c': empty tier in priority ranking"
@@ -93,10 +99,14 @@ DUPLICATE = "category 'c': agent 0 appears in more than one tier"
     (_doc(baseline=["a", ["b"]]), ParseError, "agent reference in baseline must be a string"),
     (_doc(baseline=["a", "zz"]), ValidationError, "unknown agent 'zz' in baseline"),
     (_doc(baseline=["a", "a"]), ValidationError, "baseline must list every agent exactly once"),
+    (_unreserved_doc("zz"), ParseError, "category 'u'.cutoff has wrong type str"),
+    (_unreserved_doc(0), ValidationError,
+     "unreserved category 'u' priority must equal the baseline"),
 ], ids=["int", "null", "true", "list", "dict", "tier-not-array", "unknown", "unknown-then-int",
         "int-then-unknown", "empty-tier", "duplicate-in-tier", "duplicate-across-tiers",
         "empty-then-duplicate", "duplicate-then-empty", "cutoff", "baseline-int",
-        "baseline-list", "baseline-unknown", "baseline-duplicate"])
+        "baseline-list", "baseline-unknown", "baseline-duplicate", "unreserved-cutoff-type",
+        "unreserved-cutoff-zero"])
 def test_parse_error_class_and_message(doc, error, message):
     """The first bad entry decides the error; ranking errors name their category."""
     with pytest.raises(ValueError) as e:
@@ -106,8 +116,11 @@ def test_parse_error_class_and_message(doc, error, message):
 
 @pytest.mark.parametrize("agent", [-1, 2])
 def test_ranking_validate_names_an_unknown_id(agent):
+    ranking = PriorityRanking(((0,), (agent,)), 2)
+    if agent >= 0:
+        ranking.validate(3)  # valid among three agents, and recorded for three only
     with pytest.raises(ValueError) as e:
-        PriorityRanking(((0,), (agent,)), 2).validate(2)
+        ranking.validate(2)
     assert (type(e.value), str(e.value)) == (
         ValidationError, f"unknown agent id {agent} in priority ranking")
 
@@ -260,6 +273,11 @@ def test_enumerate_all_outputs_are_decreases():
                 outs = list(enumerate_priority_decreases(inst, i, budget=budget))
                 assert all(priority_decrease_holds(inst, out, i) for out in outs)
                 assert len(set(outs)) == len(outs)
+                # the enumerator's unchecked instances are the checked path's
+                for out in outs:
+                    changed = {c: cat.ranking for c, (cat, old) in
+                               enumerate(zip(out.categories, inst.categories)) if cat != old}
+                    assert out == apply_manipulation(inst, i, changed)
 
 
 def test_enumerate_is_deterministic(scan):

@@ -12,8 +12,8 @@ from reserves.axioms import (check_eligibility, check_max_beneficiary,
                              check_nonwasteful, check_order_preservation,
                              check_respect_priorities)
 from reserves.generator import random_instance
-from reserves.rules import (PreconditionError, RrDecision, RrTrace, deferred_acceptance,
-                            minimum_guarantees, over_and_above, rr, soft_reserves, srr)
+from reserves.rules import (PreconditionError, RrTrace, deferred_acceptance, minimum_guarantees,
+                            over_and_above, rr, soft_reserves, srr)
 
 
 def _brute_force_ms(edges, quota) -> int:
@@ -65,15 +65,14 @@ def test_rr_running_example_every_ordering():
 def test_rr_scan_trace(scan):
     matching, trace = rr(scan)
     assert names_of(scan, matching) == {"1": "c1", "3": "c2"}
-    order = [(scan.agent_names[d.agent], d.rejected) for d in trace.decisions]
+    order = [(scan.agent_names[i], i in trace.rejected) for i, _ in trace.tested]
     assert order == [("4", True), ("3", False), ("2", True), ("1", False)]
     assert sorted(scan.agent_names[a] for a in trace.rejected) == ["2", "4"]
-    for d in trace.decisions:
-        if d.rejected:
-            assert d.ms_tested == trace.ms_total
+    for i, size in trace.tested:
+        assert (i in trace.rejected) == (size == trace.ms_total)
 
 
-def test_rr_trace_keeps_the_scan_pairs_and_builds_decisions_when_read():
+def test_rr_trace_keeps_the_scan_pairs():
     # ties in every other instance, unreserved units in two of three
     for seed in range(60):
         inst = random_instance(4 + seed % 37, 1 + seed % 5, max_quota=3,
@@ -82,14 +81,10 @@ def test_rr_trace_keeps_the_scan_pairs_and_builds_decisions_when_read():
         _, trace = rr(inst)
         ms_total = trace.ms_total
         fresh = RrTrace(trace.rejected, trace.tested, ms_total)
-        before = hash(trace)
-        assert "decisions" not in vars(trace)
         agents = [i for i, _ in trace.tested]
         assert agents == [a for a in reversed(inst.baseline) if a in set(agents)]
         assert trace.rejected == frozenset(i for i, s in trace.tested if s == ms_total)
-        assert trace.decisions == tuple(RrDecision(i, s == ms_total, s) for i, s in trace.tested)
-        assert "decisions" in vars(trace)
-        assert trace == fresh and hash(trace) == before == hash(fresh)
+        assert trace == fresh and hash(trace) == hash(fresh)
 
 
 def test_rr_nothing_eligible():
@@ -122,10 +117,10 @@ def test_rr_ms_tested_matches_fresh_matching_when_many_pairs_die():
                                eligibility_density=0.3, tie_prob=0.3, seed=1000 + seed)
         _, trace = rr(inst)
         rejected: set[int] = set()
-        for d in trace.decisions:
-            assert d.ms_tested == reference_size(inst, rejected | {d.agent}), (seed, d)
-            if d.rejected:
-                rejected.add(d.agent)
+        for i, size in trace.tested:
+            assert size == reference_size(inst, rejected | {i}), (seed, i)
+            if i in trace.rejected:
+                rejected.add(i)
 
 
 @pytest.mark.parametrize("agents,density", [(3000, 0.5), (30000, 0.05)],
