@@ -18,7 +18,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from itertools import filterfalse
+from typing import Callable, Optional, Sequence
 
 from .graph import _RejectionEngine
 from .model import (Instance, Matching, ValidationError,
@@ -98,7 +99,9 @@ def check_eligibility(inst: Instance, m: Matching,
                       max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
     """Every matched agent must be strictly above the empty slot in her category."""
     validate_matching(inst, m)
-    bad = [EligibilityWitness(i, c) for i, c in m.pairs() if not inst.eligible(i, c)]
+    rankings = [cat.ranking for cat in inst.categories]
+    bad = [EligibilityWitness(i, c) for i, c in m.pairs()
+           if rankings[c].positions[i] >= rankings[c].cutoff]
     return _report("eligibility", bad, max_witnesses)
 
 
@@ -107,24 +110,17 @@ def check_respect_priorities(inst: Instance, m: Matching,
     """No unmatched agent may strictly outrank a matched agent in her category."""
     validate_matching(inst, m)
     matched = m.assignment
-    # an unmatched agent can envy in c only if she outranks c's worst holder
-    held: dict[int, list[tuple[int, int]]] = {}
-    for i, c in m.pairs():
-        held.setdefault(c, []).append((inst.position(c, i), i))
+    held: dict[int, list[int]] = {}
+    for i, c in matched.items():
+        held.setdefault(c, []).append(i)
     bad = []
-    for c, holders in held.items():
-        ranking = inst.categories[c].ranking
-        worst = max(holders)[0]
-        if worst > ranking.cutoff:
-            # agents tied with the empty slot are in no tier: try everyone
-            rivals = ((ranking.position(j), j) for j in range(inst.n) if j not in matched)
-        else:
-            # above the empty slot a tier's index is its agents' position
-            rivals = ((t, j) for t, tier in enumerate(ranking.tiers[:worst])
-                      for j in tier if j not in matched)
-        for pj, j in rivals:
-            if pj < worst:
-                bad.extend(EnvyWitness(j, i, c) for pi, i in holders if pj < pi)
+    for c, group in held.items():
+        positions = inst.categories[c].ranking.positions
+        holders = [(positions[i], i) for i in group]
+        # an unmatched agent can envy in c only if she outranks c's worst holder
+        for j in filterfalse(matched.__contains__, inst.agents_above(c, max(holders)[0])):
+            pj = positions[j]
+            bad.extend(EnvyWitness(j, i, c) for pi, i in holders if pj < pi)
     bad.sort(key=lambda w: (w.envier, w.envied, w.category))
     return _report("respect_priorities", bad, max_witnesses)
 
@@ -157,7 +153,9 @@ def _preferential_optimum_given(inst: Instance, m: Matching) -> int:
     Otherwise the engine answers."""
     pref = set(inst.preferential_ids)
     units = sum(inst.categories[c].quota for c in pref)
-    placed = sum(1 for i, c in m.assignment.items() if c in pref and inst.eligible(i, c))
+    rankings = [cat.ranking for cat in inst.categories]
+    placed = sum(1 for i, c in m.assignment.items()
+                 if c in pref and rankings[c].positions[i] < rankings[c].cutoff)
     return placed if placed == units else _preferential_optimum(inst)
 
 
@@ -203,38 +201,41 @@ def check_order_preservation(inst: Instance, m: Matching,
     cf, cl = inst.unreserved_first_id, inst.unreserved_last_id
     validate_matching(inst, m)
 
-    def holders(position: Callable[[int, int], int]) -> dict[int, list[tuple[int, int]]]:
-        """Each pool's holders as (position, agent), best first."""
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for i, c in m.assignment.items():
-            groups.setdefault(c, []).append((position(c, i), i))
-        for group in groups.values():
-            group.sort()
-        return groups
+    groups: dict[int, list[int]] = {}
+    for i, c in m.assignment.items():
+        groups.setdefault(c, []).append(i)
+    rankings = [cat.ranking for cat in inst.categories]
 
-    # clause 1 compares in the early pool's ranking, which is the baseline
-    base = inst.baseline_pos
-    by_baseline = holders(lambda c, i: base[i])
-    by_pool = holders(inst.position)
+    def ranked(c: int, positions: Sequence[int] | dict[int, int]) -> list[tuple[int, int]]:
+        """Pool ``c``'s holders as (position, agent), best first."""
+        return sorted([(positions[i], i) for i in groups[c]])
+
     bad = []
     # clause 1: j holds an early unreserved unit although i, stuck in a later
-    # pool, outranks her there and j could take i's seat
-    later = [c for c in (*inst.preferential_ids, cl) if c in by_baseline]
-    for pj, j in by_baseline.get(cf, ()):
-        for ci in later:
-            if inst.eligible(j, ci):
-                group = by_baseline[ci]
-                bad.extend(OrderWitness(1, i, j, ci, cf)
-                           for _, i in group[:bisect_left(group, (pj,))])
+    # pool, outranks her there and j could take i's seat; it compares in the
+    # early pool's ranking, which is the baseline
+    if cf in groups:
+        base = inst.baseline_pos
+        later = [(c, rankings[c], ranked(c, base))
+                 for c in (*inst.preferential_ids, cl) if c in groups]
+        for j in groups[cf]:
+            for ci, r, group in later:
+                if r.positions[j] < r.cutoff:
+                    above = bisect_left(group, (base[j],))
+                    if above:
+                        bad.extend(OrderWitness(1, i, j, ci, cf) for _, i in group[:above])
     # clause 2: i holds a late unreserved unit although she outranks j
     # in j's earlier category and is eligible for it
-    earlier = [c for c in (*inst.preferential_ids, cf) if c in by_pool]
-    for _, i in by_pool.get(cl, ()):
-        for cj in earlier:
-            if inst.eligible(i, cj):
-                group = by_pool[cj]
-                bad.extend(OrderWitness(2, i, j, cl, cj)
-                           for _, j in group[bisect_left(group, (inst.position(cj, i) + 1,)):])
+    if cl in groups:
+        earlier = [(c, rankings[c], ranked(c, rankings[c].positions))
+                   for c in (*inst.preferential_ids, cf) if c in groups]
+        for i in groups[cl]:
+            for cj, r, group in earlier:
+                pi = r.positions[i]
+                if pi < r.cutoff:
+                    below = bisect_left(group, (pi + 1,))
+                    if below < len(group):
+                        bad.extend(OrderWitness(2, i, j, cl, cj) for _, j in group[below:])
     bad.sort(key=lambda w: (w.clause, w.agent_early, w.agent_late))
     return _report("order_preservation", bad, max_witnesses)
 

@@ -103,16 +103,18 @@ def parse_matching_doc(inst: Instance, raw: bytes) -> Matching:
         doc = doc["assignment"]
     if not isinstance(doc, dict):
         raise ParseError("matching document must be an object with an 'assignment' map")
-    agent_ids = {nm: i for i, nm in enumerate(inst.agent_names)}
+    agent_ids = dict(zip(inst.agent_names, range(inst.n)))
     cat_ids = category_id_by_name(inst)
-    assignment = {}
-    for agent, cat in doc.items():
-        if agent not in agent_ids:
-            raise ValidationError(f"unknown agent {agent!r} in matching")
-        if not isinstance(cat, str) or cat not in cat_ids:
-            raise ValidationError(f"unknown category {cat!r} in matching")
-        assignment[agent_ids[agent]] = cat_ids[cat]
-    m = Matching(assignment)
+    try:  # one pass at C speed; a failed lookup walks the pairs to name the first bad one
+        m = Matching(dict(zip(map(agent_ids.__getitem__, doc),
+                              map(cat_ids.__getitem__, doc.values()))))
+    except (KeyError, TypeError):  # an unknown name, or an unhashable category
+        for agent, cat in doc.items():
+            if agent not in agent_ids:
+                raise ValidationError(f"unknown agent {agent!r} in matching") from None
+            if not isinstance(cat, str) or cat not in cat_ids:
+                raise ValidationError(f"unknown category {cat!r} in matching") from None
+        raise
     validate_matching(inst, m)
     return m
 

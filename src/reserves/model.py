@@ -11,11 +11,12 @@ ineligible.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 #: Marker for the empty slot in priority comparisons (an agent strictly above
 #: it is eligible, an agent at or below it is not).
@@ -30,6 +31,20 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Structurally well-formed input that violates a model invariant."""
+
+
+class _Positions(dict):
+    """A ranking's position table, agent -> position. An agent in no tier,
+    and EMPTY, are missing from it and read as the cutoff."""
+
+    __slots__ = ("cutoff",)
+
+    def __init__(self, cutoff: int, items) -> None:
+        super().__init__(items)
+        self.cutoff = cutoff
+
+    def __missing__(self, a: AgentRef) -> int:
+        return self.cutoff
 
 
 class Kind(str, Enum):
@@ -94,21 +109,27 @@ class PriorityRanking:
                 seen.add(a)
 
     @cached_property
-    def _tier_of(self) -> dict[int, int]:
-        return {a: t for t, tier in enumerate(self.tiers) for a in tier}
+    def positions(self) -> _Positions:
+        """The table of ``position``, built on the ranking's first query:
+        ``positions[a]`` is ``position(a)`` for every agent and EMPTY."""
+        tiers, cutoff, flat = self.tiers, self.cutoff, self._flat
+        ranks = chain(range(cutoff), range(cutoff + 1, len(tiers) + 1))
+        if len(flat) != len(tiers):  # ties: each tier's rank once per agent
+            ranks = chain.from_iterable(map(repeat, ranks, map(len, tiers)))
+        return _Positions(cutoff, zip(flat, ranks))
 
     def position(self, a: AgentRef) -> int:
         """Comparable rank: smaller is higher priority. The empty slot sits at
         ``cutoff``; tiers below it are shifted by one; absent agents tie with it."""
-        if a is EMPTY:
-            return self.cutoff
-        t = self._tier_of.get(a)
-        if t is None:
-            return self.cutoff
-        return t if t < self.cutoff else t + 1
+        return self.positions[a]
 
     def is_eligible(self, a: int) -> bool:
-        return self.position(a) < self.cutoff
+        return self.positions[a] < self.cutoff
+
+    def _tier_index(self, a: int) -> Optional[int]:
+        """The index of ``a``'s tier, None if she is in no tier."""
+        p, cutoff = self.positions[a], self.cutoff
+        return None if p == cutoff else p - (p > cutoff)
 
     def eligible_agents(self) -> list[int]:
         return [a for tier in self.tiers[: self.cutoff] for a in tier]
@@ -147,21 +168,24 @@ class Instance:
         n = self.n
         if len(set(self.agent_names)) != n:
             raise ValidationError("duplicate agent names")
-        if sorted(self.baseline) != list(range(n)):
+        # n entries that cover range(n) are a permutation of it
+        if len(self.baseline) != n or not set(self.baseline).issuperset(range(n)):
             raise ValidationError("baseline must list every agent exactly once")
         kinds = [c.kind for c in self.categories]
         firsts = kinds.count(Kind.UNRESERVED_FIRST)
         if firsts > 1 or kinds.count(Kind.UNRESERVED_LAST) != firsts:
             raise ValidationError("unreserved categories must form one (first, last) pair")
-        # the unreserved rankings' reference, built only when the pair exists
-        expected = PriorityRanking(tuple(zip(self.baseline)), n) if firsts else None
         for c in self.categories:
             if c.quota < 0:
                 raise ValidationError(f"negative quota for category {c.name!r}")
-            if c.kind.is_unreserved and c.ranking == expected:
-                continue  # the baseline's permutation check has validated it
+            r = c.ranking
+            # n nonempty tiers that list the baseline hold one agent each: the
+            # baseline's own ranking, which its permutation check has validated
+            if (c.kind.is_unreserved and r.cutoff == n == len(r.tiers)
+                    and r._flat == self.baseline and all(r.tiers)):
+                continue
             try:
-                c.ranking.validate(n)
+                r.validate(n)
             except ValidationError as e:
                 raise ValidationError(f"category {c.name!r}: {e}") from None
             if c.kind.is_unreserved:
@@ -182,16 +206,27 @@ class Instance:
         return tuple(pos)
 
     def position(self, c: int, a: AgentRef) -> int:
-        return self.categories[c].ranking.position(a)
+        return self.categories[c].ranking.positions[a]
 
     def eligible(self, i: int, c: int) -> bool:
-        return self.categories[c].ranking.is_eligible(i)
+        ranking = self.categories[c].ranking
+        return ranking.positions[i] < ranking.cutoff
 
     def eligible_categories(self, i: int) -> list[int]:
-        return [c for c in range(len(self.categories)) if self.eligible(i, c)]
+        return [c for c, cat in enumerate(self.categories)
+                if cat.ranking.positions[i] < cat.ranking.cutoff]
 
     def agents_eligible_for(self, c: int) -> list[int]:
         return self.categories[c].ranking.eligible_agents()
+
+    def agents_above(self, c: int, p: int) -> Iterable[int]:
+        """The agents at a position below ``p`` in category ``c``, that is
+        strictly above an agent at ``p``, in no particular order."""
+        ranking = self.categories[c].ranking
+        if p > ranking.cutoff:  # the agents in no tier sit at the cutoff
+            return [a for a in range(self.n) if ranking.positions[a] < p]
+        # above the empty slot a tier's index is its agents' position
+        return chain.from_iterable(ranking.tiers[:p])
 
     @cached_property
     def preferential_ids(self) -> tuple[int, ...]:
@@ -271,20 +306,26 @@ class Matching:
 
 def validate_matching(inst: Instance, m: Matching) -> None:
     """Raise ValidationError on unknown ids or quota breaches. Eligibility is a
-    separate, checkable axiom and is deliberately not enforced here."""
-    counts = [0] * len(inst.categories)
-    for i, c in m.assignment.items():
-        if not 0 <= i < inst.n:
-            raise ValidationError(f"matching references unknown agent id {i}")
-        if not 0 <= c < len(inst.categories):
-            raise ValidationError(f"matching references unknown category id {c}")
-        counts[c] += 1
-    for c, used in enumerate(counts):
-        if used > inst.categories[c].quota:
-            raise ValidationError(
-                f"category {inst.categories[c].name!r} over quota: {used} > "
-                f"{inst.categories[c].quota}"
-            )
+    separate, checkable axiom and is deliberately not enforced here.
+
+    One bulk pass decides: a ``Counter`` of the categories, then the id
+    ranges by ``min`` and ``max`` and the counts against the quotas. Only a
+    matching with an unknown id is walked pair by pair, to name the first
+    bad pair; of the categories over quota, the lowest id is named."""
+    pairs, k = m.assignment, len(inst.categories)
+    counts = Counter(pairs.values())
+    if pairs and not (0 <= min(pairs) and max(pairs) < inst.n
+                      and 0 <= min(counts) and max(counts) < k):
+        for i, c in pairs.items():
+            if not 0 <= i < inst.n:
+                raise ValidationError(f"matching references unknown agent id {i}")
+            if not 0 <= c < k:
+                raise ValidationError(f"matching references unknown category id {c}")
+    over = [c for c, used in counts.items() if used > inst.categories[c].quota]
+    if over:
+        c = min(over)
+        cat = inst.categories[c]
+        raise ValidationError(f"category {cat.name!r} over quota: {counts[c]} > {cat.quota}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +337,7 @@ def _moved(ranking: PriorityRanking, agent: int, target: int) -> PriorityRanking
     ``len(ranking.tiers)`` opens a new last tier, below the empty slot. A tier
     she leaves empty is dropped."""
     tiers = [list(t) for t in ranking.tiers] + [[]]
-    ti = ranking._tier_of[agent]
+    ti = ranking._tier_index(agent)
     tiers[target].append(agent)
     tiers[ti].remove(agent)
     cutoff = ranking.cutoff - (ti < ranking.cutoff and not tiers[ti])
@@ -374,7 +415,7 @@ def enumerate_priority_decreases(inst: Instance, i: int, budget: int = 8) -> Ite
     for c, r in rankings.items():
         if produced >= budget:
             break
-        ti = r._tier_of.get(i)
+        ti = r._tier_index(i)
         if ti is not None and ti + 1 < len(r.tiers):
             produced += 1
             yield _with_rankings(inst, {c: _moved(r, i, ti + 1)})
@@ -468,11 +509,10 @@ def instance_from_document(doc: dict) -> Instance:
     that tell the two unreserved pools apart in matching documents.
     """
     agent_names = _require(doc, "agents", list, "document")
-    for a in agent_names:
-        if not isinstance(a, str) or not a:
-            raise ParseError("agent names must be non-empty strings")
-    ids = {a: i for i, a in enumerate(agent_names)}
+    if not (all(map(isinstance, agent_names, repeat(str))) and all(agent_names)):
+        raise ParseError("agent names must be non-empty strings")
     n = len(agent_names)
+    ids = dict(zip(agent_names, range(n)))
 
     baseline = _resolve_all(_require(doc, "baseline", list, "document"), ids, "baseline")
 
@@ -502,7 +542,7 @@ def instance_from_document(doc: dict) -> Instance:
             if unreserved_doc is not None:
                 raise ValidationError("more than one unreserved category")
             unreserved_doc = (name, quota, cd)
-            base_ranking = PriorityRanking(tuple(zip(baseline)), n)
+            base_ranking = PriorityRanking._resolved(tuple(zip(baseline)), n, baseline)
             tiers = base_ranking.tiers
             if "tiers" in cd:
                 tiers, _ = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),

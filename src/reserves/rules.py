@@ -15,7 +15,9 @@ leftover preferential units to ineligible agents.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 from typing import Mapping, Sequence
 
 from .graph import _RejectionEngine
@@ -167,15 +169,14 @@ def deferred_acceptance(inst: Instance, prefs: Mapping[int, Sequence[int]]) -> M
                 )
         lists[i] = cats
 
-    def key(c: int, a: int) -> tuple[int, int]:
-        return (inst.position(c, a), inst.baseline_pos[a])
-
     pointer = {i: 0 for i in lists}
-    held: dict[int, list[int]] = {c: [] for c in range(len(inst.categories))}
+    # each category's holders as a max-heap on (position, baseline position),
+    # negated: the key is unique, so the top is the one holder to displace
+    held: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(len(inst.categories))}
     matched: dict[int, int] = {}
-    free = [i for i in inst.baseline if i in lists]
+    free = deque(i for i in inst.baseline if i in lists)
     while free:
-        i = free.pop(0)
+        i = free.popleft()
         if i in matched or pointer[i] >= len(lists[i]):
             continue
         c = lists[i][pointer[i]]
@@ -184,19 +185,17 @@ def deferred_acceptance(inst: Instance, prefs: Mapping[int, Sequence[int]]) -> M
         if quota <= 0:
             free.append(i)
             continue
+        entry = (-inst.position(c, i), -inst.baseline_pos[i], i)
         if len(held[c]) < quota:
-            held[c].append(i)
+            heappush(held[c], entry)
             matched[i] = c
+        elif entry > held[c][0]:
+            worst = heapreplace(held[c], entry)[2]
+            del matched[worst]
+            matched[i] = c
+            free.append(worst)
         else:
-            worst = max(held[c], key=lambda a: key(c, a))
-            if key(c, i) < key(c, worst):
-                held[c].remove(worst)
-                del matched[worst]
-                held[c].append(i)
-                matched[i] = c
-                free.append(worst)
-            else:
-                free.append(i)
+            free.append(i)
     return Matching(matched)
 
 

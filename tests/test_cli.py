@@ -349,6 +349,22 @@ def test_matching_split_without_unreserved_pair_is_an_input_error(tmp_path, caps
         "check", "--instance", RUNNING_DOC, "--matching", {}, "--split", "1,1"]))
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ({"zz": "c1"}, "unknown agent 'zz' in matching"),
+    ({"2": "c9"}, "unknown category 'c9' in matching"),
+    ({"2": 0}, "unknown category 0 in matching"),
+    ({"2": ["c1"]}, "unknown category ['c1'] in matching"),
+    # the first bad pair is named, after a good one
+    ({"2": "c1", "3": "c9", "zz": "c2"}, "unknown category 'c9' in matching"),
+    ({"2": "c1", "zz": "c2", "3": "c9"}, "unknown agent 'zz' in matching"),
+    ({"2": "c1", "3": "c1"}, "category 'c1' over quota: 2 > 1"),
+])
+def test_matching_document_names_the_first_defect(tmp_path, capsys, assignment, message):
+    assert input_error(capsys, with_files(tmp_path, [
+        "check", "--instance", RUNNING_DOC, "--matching", {"assignment": assignment}])) == \
+        f"error: {message}\n"
+
+
 @pytest.mark.parametrize("rule", ["rr", "mg", "oaa", "da"])
 def test_split_flag_is_an_input_error_for_other_rules(tmp_path, capsys, rule):
     # mg and oaa fix their own split; rr and da have none

@@ -1,14 +1,17 @@
+import hashlib
+import itertools
 import json
+import random
 from dataclasses import replace
 from itertools import chain
 
 import pytest
 
 from conftest import RUNNING_DOC, SCAN_DOC, make_instance
-from reserves.generator import random_instance
-from reserves.model import (EMPTY, Instance, Matching, ParseError, PriorityRanking,
-                            ValidationError, apply_manipulation,
-                            enumerate_priority_decreases, parse_instance,
+from reserves.generator import random_instance, random_instance_document
+from reserves.model import (EMPTY, Category, Instance, Kind, Matching, ParseError,
+                            PriorityRanking, ValidationError, apply_manipulation,
+                            enumerate_priority_decreases, instance_from_document, parse_instance,
                             priority_decrease_holds, serialize_instance,
                             strictly_prefers, validate_matching)
 
@@ -322,7 +325,130 @@ def test_with_split(reserve, running):
 
 def test_validate_matching(running):
     validate_matching(running, Matching({1: 1, 2: 0}))
-    with pytest.raises(ValidationError):
+    validate_matching(running, Matching({}))
+    with pytest.raises(ValidationError, match=r"^category 'c1' over quota: 2 > 1$"):
         validate_matching(running, Matching({1: 0, 2: 0}))  # c1 quota 1
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^matching references unknown agent id 7$"):
         validate_matching(running, Matching({7: 0}))
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ({-1: 0}, "matching references unknown agent id -1"),
+    ({0: 2}, "matching references unknown category id 2"),
+    ({0: -1}, "matching references unknown category id -1"),
+    # the first bad pair is named, after a good one and before a later one
+    ({1: 1, 2: 5, 9: 0}, "matching references unknown category id 5"),
+    ({1: 1, 9: 0, 2: 5}, "matching references unknown agent id 9"),
+    # with both categories over quota, the lower id is named
+    ({0: 1, 1: 1, 2: 0, 3: 0}, "category 'c1' over quota: 2 > 1"),
+    ({0: 1, 1: 1, 2: 1}, "category 'c2' over quota: 3 > 1"),
+])
+def test_validate_matching_names_the_defect(scan, assignment, message):
+    with pytest.raises(ValidationError) as err:
+        validate_matching(scan, Matching(assignment))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("baseline", [
+    (0, 0, 2),     # duplicate
+    (0, 1),        # missing
+    (0, 1, 2, 2),  # too long
+    (0, 1, 3),     # out of range
+    (-1, 0, 1),    # negative
+    (0, 1.5, 2),   # not an int
+    ("a", "b", "c"),
+])
+def test_instance_rejects_a_baseline_that_is_not_a_permutation(running, baseline):
+    with pytest.raises(ValidationError) as err:
+        Instance(running.agent_names, running.categories, baseline)
+    assert str(err.value) == "baseline must list every agent exactly once"
+
+
+@pytest.mark.parametrize("first, last", [
+    (((1,), (0,), (2,)), 3),   # another order
+    (((0,), (1,), (2,)), 2),   # another cutoff
+    (((0,), (1,)), 2),         # an agent missing
+])
+def test_instance_rejects_an_unreserved_ranking_off_the_baseline(running, first, last):
+    cats = (*running.categories,
+            Category("u", 1, Kind.UNRESERVED_FIRST, PriorityRanking(first, last)),
+            Category("u", 1, Kind.UNRESERVED_LAST, PriorityRanking(((0,), (1,), (2,)), 3)))
+    with pytest.raises(ValidationError) as err:
+        Instance(running.agent_names, cats, (0, 1, 2))
+    assert str(err.value) == ("unreserved category 'u' must rank every agent eligible "
+                              "in baseline order")
+
+
+def test_instance_names_an_unreserved_ranking_that_is_invalid(running):
+    cats = (*running.categories,
+            Category("u", 1, Kind.UNRESERVED_FIRST, PriorityRanking(((0, 1), (2,)), 3)),
+            Category("u", 1, Kind.UNRESERVED_LAST, PriorityRanking(((0,), (1,), (2,)), 3)))
+    with pytest.raises(ValidationError) as err:
+        Instance(running.agent_names, cats, (0, 1, 2))
+    assert str(err.value) == "category 'u': cutoff 3 out of range for 2 tiers"
+
+
+def _reference_position(tiers, cutoff: int, a) -> int:
+    """The index of ``a``'s group in the order tiers[:cutoff], then the empty
+    slot with every agent in no tier, then tiers[cutoff:]."""
+    groups = [set(t) for t in tiers[:cutoff]]
+    groups.append({EMPTY} | ({a} - set(chain.from_iterable(tiers))))
+    groups += [set(t) for t in tiers[cutoff:]]
+    return next(g for g, group in enumerate(groups) if a in group)
+
+
+def test_positions_match_a_reference_from_the_tiers():
+    rng = random.Random(5)
+    for _ in range(300):
+        n, k = rng.randint(1, 9), rng.randint(1, 4)
+        cats = []
+        for c in range(k):
+            ranked = rng.sample(range(n), rng.randint(1, n))
+            tiers = [[ranked[0]]]
+            for a in ranked[1:]:
+                if rng.random() < 0.4:
+                    tiers[-1].append(a)
+                else:
+                    tiers.append([a])
+            ranking = PriorityRanking(tuple(map(tuple, tiers)), rng.randint(0, len(tiers)))
+            cats.append(Category(f"c{c}", 1, Kind.PREFERENTIAL, ranking))
+        inst = Instance(tuple(map(str, range(n))), tuple(cats), tuple(range(n)))
+        refs = [[_reference_position(cat.ranking.tiers, cat.ranking.cutoff, a)
+                 for a in (*range(n), EMPTY)] for cat in cats]
+        for c, cat in enumerate(cats):
+            r, ref = cat.ranking, refs[c]
+            assert [r.position(a) for a in (*range(n), EMPTY)] == ref
+            assert [inst.position(c, a) for a in (*range(n), EMPTY)] == ref
+            for a in range(n):
+                eligible = any(a in t for t in r.tiers[:r.cutoff])
+                assert r.is_eligible(a) == inst.eligible(a, c) == eligible
+            for x, y in itertools.product((*range(n), EMPTY), repeat=2):
+                assert strictly_prefers(r, x, y) == (ref[n if x is EMPTY else x]
+                                                     < ref[n if y is EMPTY else y])
+        for a in range(n):
+            assert inst.eligible_categories(a) == [
+                c for c, cat in enumerate(cats) if any(a in t for t in
+                                                       cat.ranking.tiers[:cat.ranking.cutoff])]
+
+
+def test_enumerated_decreases_pinned_on_a_seeded_corpus():
+    # Pins every instance enumerate_priority_decreases yields, hides and
+    # demotions, on 60 seeded instances with ties, tiers below the empty slot
+    # and unreserved pairs. The digest was taken while _moved read each
+    # agent's tier from a map of its own.
+    rows = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        doc = random_instance_document(rng.randint(3, 8), rng.randint(1, 4), seed=seed,
+                                       eligibility_density=0.7, tie_prob=0.4,
+                                       unreserved=2 if seed % 2 else 0)
+        for cat in doc["categories"]:
+            if "tiers" in cat:
+                cat["cutoff"] = rng.randint(0, len(cat["tiers"]))
+        inst = instance_from_document(doc)
+        rows.append([[serialize_instance(out)["categories"]
+                      for out in enumerate_priority_decreases(inst, i, budget=12)]
+                     for i in range(inst.n)])
+    assert sum(len(outs) for row in rows for outs in row) > 500
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "b6c7b359f6df7219d08596f0e41f35179c3399592519c690c50adecb5ba27a05"
