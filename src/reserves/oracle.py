@@ -6,17 +6,19 @@ with the matching kernels) and keeps the priority-respecting ones of maximum
 size. The rule side is the union of the rejection scan's outcomes over every
 baseline ordering, found without running the orderings one by one.
 
-On the symmetrized instance every ranking is fixed, so the reduced graph
-G(R) after rejecting a set R depends on R alone. Write F(R) for "G(R) keeps
-the full graph's maximum matching size". F is closed under subsets: if
-R is a subset of R', then G(R') is a subgraph of G(R) (fewer agents,
-thresholds no higher), so F(R') implies F(R). Hence an agent whose test
-fails at R (F(R + {i}) is false) fails at every superset of R. The scan
-rejects an agent exactly when her test succeeds, so it ends on a maximal
-F-set, and every maximal F-set is where the scan ends that tests its
-members first. The rule side is therefore the union, over the maximal
-F-sets R, of the maximum matchings of G(R); one matching engine walks the
-F-sets.
+Every ranking is fixed by the instance, an unreserved category's included,
+and the orderings the rule side ranges over are scan orders only: it never
+re-derives a ranking from a permuted baseline. So the reduced graph G(R)
+after rejecting a set R depends on R alone. Write F(R) for "G(R) keeps the
+full graph's maximum matching size m". F is closed under subsets: if R is a
+subset of R', then G(R') is a subgraph of G(R) (fewer agents, thresholds no
+higher), so F(R') implies F(R). The scan rejects an agent exactly when her
+test succeeds, so it ends on a maximal F-set, and every maximal F-set is
+where the scan ends that tests its members first. The rule side is therefore
+the union, over the maximal F-sets R, of the maximum matchings of G(R).
+Every maximal F-set has exactly n - m agents (``_final_rejected_sets`` gives
+the swap argument), so one matching engine walks the F-sets up to that size
+and no further.
 
 Both sides enumerate only maximum matchings, by a depth-first walk that
 cuts a branch once it cannot reach the best size found. Hard bounds guard
@@ -26,11 +28,11 @@ matching walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .graph import _RejectionEngine
-from .model import Instance, Kind, Matching
+from .model import Instance, Matching
 
 #: canonical form of a matching: sorted (agent, category) pairs
 Canonical = tuple[tuple[int, int], ...]
@@ -196,78 +198,74 @@ def axiom_satisfying_set(inst: Instance) -> MatchingSet:
                                         True))
 
 
-def _symmetrize(inst: Instance) -> Instance:
-    """Recast unreserved categories as preferential ones with the same fixed
-    ranking, so the baseline can be permuted freely."""
-    cats = tuple(replace(c, kind=Kind.PREFERENTIAL) for c in inst.categories)
-    return Instance(inst.agent_names, cats, inst.baseline)
-
-
 def rr_outcome_set(inst: Instance) -> MatchingSet:
     """Union over every baseline ordering of all maximum matchings of the
     final reduced graph left by the rejection scan.
 
-    The final rejected sets are the maximal F-sets of the symmetrized
-    instance (``_final_rejected_sets``), and each one's reduced graph has
-    its maximum matchings enumerated once."""
+    The final rejected sets are the maximal F-sets (``_final_rejected_sets``),
+    and each one's reduced graph has its maximum matchings enumerated once."""
     _check_bound(inst)
-    base = _symmetrize(inst)
-    quota = [c.quota for c in base.categories]
+    quota = [c.quota for c in inst.categories]
     out: set[Canonical] = set()
-    for rejected in _final_rejected_sets(base):
-        out.update(_maximum_matchings(_reduced_adj(base, rejected), quota, False))
+    for rejected in _final_rejected_sets(inst):
+        out.update(_maximum_matchings(_reduced_adj(inst, rejected), quota, False))
     return frozenset(out)
 
 
 def _final_rejected_sets(inst: Instance) -> set[frozenset[int]]:
     """The rejected sets the rejection scan ends with, over every ordering
-    of the agents of ``inst`` (whose categories must all have fixed
-    rankings): the maximal F-sets, where F(R) means that the reduced graph
-    after rejecting R keeps the full graph's maximum size.
+    of the agents of ``inst``, its rankings held fixed: the maximal F-sets,
+    where F(R) means that the reduced graph G(R) after rejecting R keeps the
+    full graph's maximum size m.
 
     The lemma: F is closed under subsets, since rejecting more agents only
     removes agents and lowers thresholds. The scan rejects agent i at
     rejected set R exactly when F(R + {i}), so each of its rejected sets is
     an F-set, and an agent it keeps fails at the final set too: the scan
     ends on a maximal F-set. Conversely, the scan that tests a maximal
-    F-set's members first rejects them all and keeps everyone else. By the
-    lemma, an agent whose test fails at R fails at every superset of R, so
-    ``_walk_f_sets`` carries such agents down as dead and never tests them
-    again; it reaches each F-set once, adding agents in increasing id
-    order, on one engine."""
+    F-set's members first rejects them all and keeps everyone else.
+
+    The size fact: every maximal F-set R has n - m agents. Let M be a
+    maximum matching of G(R), and suppose M leaves an agent j outside R
+    unmatched. F(R + {j}) is false, so some holder a in M, in a category c
+    where j is live, ranks strictly below j; otherwise pruning j's
+    categories would kill no pair of M, and M would survive in G(R + {j}).
+    Swapping j in for a gives another maximum matching of G(R), in which
+    c's holder ranks strictly higher and a is unmatched. That cannot repeat
+    forever, so every maximum matching of G(R) matches every agent outside
+    R, and |R| = n - m. No F-set has more agents, since G(R) has only
+    n - |R| agents to match, so the F-sets of n - m agents are exactly the
+    maximal ones. ``_walk_f_sets`` reaches each of them once, adding agents
+    in increasing id order on one engine, and cuts every branch that can
+    no longer reach that size."""
     engine = _RejectionEngine(inst, range(len(inst.categories)))
+    target = engine.size()
     final: set[frozenset[int]] = set()
-    _walk_f_sets(engine, engine.size(), [], frozenset(), final)
+    _walk_f_sets(engine, target, [], range(inst.n), inst.n - target, final)
     return final
 
 
 def _walk_f_sets(engine: _RejectionEngine, target: int, rejected: list[int],
-                 dead: frozenset[int], final: set[frozenset[int]]) -> None:
-    """Add to ``final`` every maximal F-set that extends ``rejected`` by
-    agents above its last one. The engine holds the graph after rejecting
-    ``rejected``; ``dead`` holds agents whose test failed at a subset of it,
-    and so fails here too. Each live agent above the last one is removed and
-    the removal reverted; the walk recurses into each success with its
-    removal re-applied, and reverts it on return. Without a success, the set
-    is final unless an agent below the last one, outside it and not dead,
-    keeps the target."""
-    start = rejected[-1] + 1 if rejected else 0
-    grow, failed = [], []
-    for i in range(start, len(engine.alive)):
-        if i not in dead:
-            (grow if _keeps(engine, i, target) else failed).append(i)
-    dead = dead.union(failed)
-    for i in grow:
+                 candidates: Sequence[int], need: int, final: set[frozenset[int]]) -> None:
+    """Add to ``final`` every F-set of ``need`` more agents that extends
+    ``rejected`` by ``candidates``. The engine holds the graph after
+    rejecting ``rejected``, and ``candidates`` are the agents above its last
+    one that kept the target at the parent: by the lemma, no other agent
+    keeps it here. Each candidate is removed and the removal reverted; the
+    walk recurses into each keeper, with its removal re-applied and the
+    keepers after it as candidates, while enough of them remain to reach
+    ``need``, and reverts the removal on return."""
+    if need == 0:
+        final.add(frozenset(rejected))
+        return
+    keepers = [i for i in candidates if _keeps(engine, i, target)]
+    for k in range(len(keepers) - need + 1):
         log: list = []
-        engine.remove(i, True, log)
-        rejected.append(i)
-        _walk_f_sets(engine, target, rejected, dead, final)
+        engine.remove(keepers[k], True, log)
+        rejected.append(keepers[k])
+        _walk_f_sets(engine, target, rejected, keepers[k + 1:], need - 1, final)
         rejected.pop()
         engine.revert(log, target)
-    if not grow:
-        outside = dead.union(rejected)
-        if not any(_keeps(engine, j, target) for j in range(start) if j not in outside):
-            final.add(frozenset(rejected))
 
 
 def _keeps(engine: _RejectionEngine, i: int, target: int) -> bool:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from reserves.model import Instance, parse_instance
+from reserves.model import Instance, Kind, parse_instance
 
 
 def make_instance(doc: dict) -> Instance:
@@ -14,6 +14,13 @@ def make_instance(doc: dict) -> Instance:
 def with_quotas(inst: Instance, quotas) -> Instance:
     """``inst`` with category ``c``'s quota set to ``quotas[c]``."""
     cats = tuple(replace(cat, quota=q) for cat, q in zip(inst.categories, quotas, strict=True))
+    return Instance(inst.agent_names, cats, inst.baseline)
+
+
+def symmetrize(inst: Instance) -> Instance:
+    """Recast unreserved categories as preferential ones with the same fixed
+    ranking, so the baseline can be permuted freely."""
+    cats = tuple(replace(c, kind=Kind.PREFERENTIAL) for c in inst.categories)
     return Instance(inst.agent_names, cats, inst.baseline)
 
 

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
+import json
 import math
 import time
 
 import pytest
 
-from conftest import make_instance, reference_size
+from conftest import make_instance, reference_size, symmetrize
 from reserves import oracle
 from reserves.axioms import check_respect_priorities
 from reserves.generator import random_instance
@@ -92,7 +94,7 @@ def test_outcomes_are_always_axiom_satisfying():
 def _plain_outcome_union(inst):
     """rr_outcome_set without skipping: scan, reduce and enumerate on every
     ordering. Also returns the distinct rejected sets seen."""
-    base = oracle._symmetrize(inst)
+    base = symmetrize(inst)
     out, rejected_sets = set(), set()
     for perm in itertools.permutations(range(inst.n)):
         rebased = Instance(base.agent_names, base.categories, perm)
@@ -118,17 +120,17 @@ def test_outcome_set_equals_plain_union_over_orderings():
 
 
 def test_walk_final_sets_are_the_scans_rejected_sets():
-    """The state walk ends on exactly the rejected sets rr reaches over
-    every ordering of the symmetrized instance."""
+    """The F-set walk on the instance itself ends on exactly the rejected
+    sets rr reaches over every ordering of the symmetrized instance."""
     with_unreserved = 0
     for seed in range(20):
         inst = random_instance(3 + seed % 4, 2, seed=seed, eligibility_density=0.6,
                                tie_prob=0.4, unreserved=seed % 3)
         with_unreserved += inst.has_unreserved
-        base = oracle._symmetrize(inst)
+        base = symmetrize(inst)
         expected = {rr(Instance(base.agent_names, base.categories, perm))[1].rejected
                     for perm in itertools.permutations(range(inst.n))}
-        assert oracle._final_rejected_sets(base) == expected, seed
+        assert oracle._final_rejected_sets(inst) == expected, seed
     assert with_unreserved >= 10
 
 
@@ -245,10 +247,9 @@ def test_pruned_walks_equal_the_unpruned_reference():
     every final reduced graph and of the full graph; on the axiom side,
     the priority-respecting ones among the maximum matchings."""
     for inst in _guard_instances():
-        base = oracle._symmetrize(inst)
-        quota = [c.quota for c in base.categories]
-        for rejected in oracle._final_rejected_sets(base) | {frozenset()}:
-            adj = oracle._reduced_adj(base, rejected)
+        quota = [c.quota for c in inst.categories]
+        for rejected in oracle._final_rejected_sets(inst) | {frozenset()}:
+            adj = oracle._reduced_adj(inst, rejected)
             got = oracle._maximum_matchings(adj, quota, False)
             assert len(got) == len(set(got))
             assert set(got) == _largest(oracle._graph_matchings(adj, quota)), (inst, rejected)
@@ -260,35 +261,71 @@ def test_pruned_walks_equal_the_unpruned_reference():
 def test_walk_returns_the_brute_force_maximal_f_sets():
     """The F-set walk ends on exactly the maximal sets R whose reduced
     graph keeps the full maximum, found here over all subsets with scipy's
-    maximum flow rather than the engine's tests and undos."""
+    maximum flow rather than the engine's tests and undos. Each of them has
+    n - m agents, m the full graph's maximum size, which the walk relies on
+    to stop."""
     several = 0
     for inst in _guard_instances():
-        base = oracle._symmetrize(inst)
-        full = reference_size(base)
+        full = reference_size(inst)
         f_sets = [frozenset(r) for k in range(inst.n + 1)
                   for r in itertools.combinations(range(inst.n), k)
-                  if reference_size(base, r) == full]
+                  if reference_size(inst, r) == full]
         maximal = {r for r in f_sets if not any(r < s for s in f_sets)}
-        assert oracle._final_rejected_sets(base) == maximal, inst
+        assert all(len(r) == inst.n - full for r in maximal), inst
+        assert oracle._final_rejected_sets(inst) == maximal, inst
         several += len(maximal) >= 3
     assert several >= 5
 
 
-def test_corrupted_scan_is_detected(scan, monkeypatch):
-    """An engine that under-reports its first rejecting removal must surface
-    as a discrepancy."""
+def _corrupt_first(monkeypatch, keeping):
+    """Make the engine misreport its first removal that keeps the size
+    (``keeping``) or lowers it: a keeping one reports one unit less, a
+    failing one reports the size kept. Returns the list that receives the
+    misreported agent."""
     real_remove = _RejectionEngine.remove
     corrupted = []
 
-    def miss_first_rejection(engine, i, prune, log):
+    def misreport_first(engine, i, prune, log):
         before = engine.size()
         size = real_remove(engine, i, prune, log)
-        if size == before and not corrupted:
+        if (size == before) == keeping and not corrupted:
             corrupted.append(i)
-            return size - 1
+            return size - 1 if keeping else before
         return size
 
-    monkeypatch.setattr(_RejectionEngine, "remove", miss_first_rejection)
+    monkeypatch.setattr(_RejectionEngine, "remove", misreport_first)
+    return corrupted
+
+
+def test_corrupted_scan_is_detected(scan, monkeypatch):
+    """An engine that under-reports its first keeping removal loses the
+    maximal F-sets through that agent, so matchings surface on the axiom
+    side only."""
+    corrupted = _corrupt_first(monkeypatch, keeping=True)
     rep = verify_characterization(scan)
     assert corrupted
-    assert not rep.ok and rep.only_rule_side
+    assert not rep.ok and rep.only_axiom_side and not rep.only_rule_side
+
+
+def test_corrupted_failing_removal_is_detected(scan, monkeypatch):
+    """An engine that reports its first failing removal as keeping walks a
+    set that is no F-set, so a matching surfaces on the rule side only."""
+    corrupted = _corrupt_first(monkeypatch, keeping=False)
+    rep = verify_characterization(scan)
+    assert corrupted
+    assert not rep.ok and rep.only_rule_side and not rep.only_axiom_side
+
+
+def test_final_rejected_sets_pinned_on_scarce_instances():
+    """The maximal F-sets of 30 seeded instances of 17-19 agents on the
+    scarce shape (3 categories, max quota 2, ties, one unreserved unit),
+    where the walk has the most to cut."""
+    h = hashlib.sha256()
+    start = time.perf_counter()
+    for seed in range(30):
+        inst = random_instance(17 + seed % 3, 3, max_quota=2, eligibility_density=0.5,
+                               tie_prob=0.5, seed=seed, unreserved=1)
+        final = oracle._final_rejected_sets(inst)
+        h.update(json.dumps(sorted(sorted(r) for r in final)).encode())
+    assert time.perf_counter() - start < 1
+    assert h.hexdigest() == "61e27c736b96eeef51b67aadf6e7490a5636652c39d1ff544ccd5a9cfd224434"
