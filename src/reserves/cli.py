@@ -164,23 +164,48 @@ _STRICT_SCALARS = frozenset((str, int, float, bool, type(None)))
 def _encoder(depth: int):
     """The C encoder with ``json.dumps(indent=2)``'s item separator at
     ``depth``. An indent sends ``json`` to its pure-Python encoder, so the
-    newlines go into the separator instead."""
-    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": ")).encode
+    newlines go into the separator instead. Every payload is a fresh tree,
+    so no call needs the circular-reference check."""
+    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": "),
+                            check_circular=False).encode
 
 
 def _strict(values) -> bool:
     return _STRICT_SCALARS.issuperset(map(type, values))
 
 
+def _flat_items(items, of_dicts: bool) -> bool:
+    """Whether ``items``, all dicts or all lists, are nonempty and hold
+    strict scalars only."""
+    return all(items) and _strict(chain.from_iterable(map(dict.values, items) if of_dicts
+                                                      else items))
+
+
+def _one_replace(items, depth: int) -> str:
+    """``_indented`` of a list of nonempty dicts, or of nonempty lists, of
+    strict scalars: one encoder call at the items' depth, whose item
+    boundaries are rewritten with one replace."""
+    outer = "\n" + _INDENT * depth
+    inner = outer + _INDENT
+    deeper = inner + _INDENT
+    text = _encoder(depth + 2)(items)
+    open_, close = text[1], text[-2]
+    text = text[2:-2].replace(close + "," + deeper + open_,
+                              inner + close + "," + inner + open_ + deeper)
+    return "[" + inner + open_ + deeper + text + inner + close + outer + "]"
+
+
 def _indented(obj, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2)``, character for character, in few C
     encoder calls. A container of scalars and empty containers is one call,
     and so is a list of nonempty dicts, or of nonempty lists, of strict
-    scalars: its item boundaries are rewritten with one replace. That is
-    safe because ``json`` escapes every control character in strings, so a
-    raw newline is always a separator, and no scalar ends in a closing
-    bracket or starts with an opening one. An empty container inside such
-    an item would break it (``[[[], []]]``)."""
+    scalars (``_one_replace``): its item boundaries are rewritten with one
+    replace. That is safe because ``json`` escapes every control character
+    in strings, so a raw newline is always a separator, and no scalar ends
+    in a closing bracket or starts with an opening one. An empty container
+    inside such an item would break it (``[[[], []]]``). A dict with ``str``
+    keys whose values are such dicts takes the same path for its values,
+    and its keys are put back between the items."""
     if isinstance(obj, dict):
         values = obj.values()
     elif isinstance(obj, (list, tuple)):
@@ -195,22 +220,24 @@ def _indented(obj, depth: int = 0) -> str:
                               or (isinstance(v, (list, tuple, dict)) and not v) for v in values):
         text = _encoder(depth + 1)(obj)
         return text[0] + inner + text[1:-1] + outer + text[-1]
+    kinds = set(map(type, values))
     if not isinstance(obj, dict):
-        kinds = set(map(type, obj))
-        if (kinds == {dict} or kinds <= {list, tuple}) and all(obj) and _strict(
-                chain.from_iterable(map(dict.values, obj) if dict in kinds else obj)):
-            text = _encoder(depth + 2)(obj)
-            open_, close = text[1], text[-2]
-            deeper = inner + _INDENT
-            text = text[2:-2].replace(close + "," + deeper + open_,
-                                      inner + close + "," + inner + open_ + deeper)
-            return "[" + inner + open_ + deeper + text + inner + close + outer + "]"
+        if (kinds == {dict} or kinds <= {list, tuple}) and _flat_items(obj, dict in kinds):
+            return _one_replace(obj, depth)
         return "[" + inner + ("," + inner).join(_indented(v, depth + 1) for v in obj) + outer + "]"
     if not all(isinstance(k, str) for k in obj):
         return json.dumps(obj, indent=2).replace("\n", outer)
+    keys = map(encode_basestring_ascii, obj)
+    if kinds == {dict} and _flat_items(values, True):
+        # Cut the values' text back into items after each "," + inner + "{":
+        # inside an item every line starts "," + inner + '  "', so no cut
+        # falls inside one, and no key has been through the replace.
+        items = _one_replace(list(values), depth)[len(inner) + 2:-len(outer) - 1]
+        return "{" + inner + ("," + inner).join(
+            k + ": {" + item for k, item in zip(keys, items.split("," + inner + "{"))
+        ) + outer + "}"
     return "{" + inner + ("," + inner).join(
-        encode_basestring_ascii(k) + ": " + _indented(v, depth + 1)
-        for k, v in obj.items()) + outer + "}"
+        k + ": " + _indented(v, depth + 1) for k, v in zip(keys, values)) + outer + "}"
 
 
 def _emit(args, payload: dict | list) -> None:

@@ -16,7 +16,8 @@ deterministic maximum matching of the graph the engine holds.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import Iterable, Sequence
 
 from . import _kernels
@@ -28,14 +29,15 @@ class _RejectionEngine:
 
     Column ``j`` is category ``cat_ids[j]``, with its quota as capacity and
     its eligible tiers as edges. The edges are laid out by column in
-    priority order (a tier's agents in id order; only tiers of two or more
-    are sorted) for backward searches, and from that by row for forward
-    ones. The rows are filled column by column, so each row lists its
-    columns in increasing order, and an agent's position in a column is
-    found by bisecting her row. The engine holds the two CSRs, the
-    thresholds and the matching: O(agents + edges + units). Every agent
-    starts alive. An edge is live while its agent is alive and its position
-    is at most its column's threshold, which pruning lowers.
+    priority order for backward searches: a strict ranking's eligible ids
+    are one slice of its flat ids, and a tied ranking's tiers are laid out
+    agent by agent, a tier of two or more sorted by id. The rows, for
+    forward searches, are transposed from the columns by counting sort, so
+    each row lists its columns in increasing order, and an agent's position
+    in a column is found by bisecting her row. The engine holds the two
+    CSRs, the thresholds and the matching: O(agents + edges + units). Every
+    agent starts alive. An edge is live while its agent is alive and its
+    position is at most its column's threshold, which pruning lowers.
 
     A caller commits a removal by dropping its log, or, inside a removal it
     may still revert, by appending the log to that removal's log; it undoes
@@ -46,28 +48,37 @@ class _RejectionEngine:
     def __init__(self, inst: Instance, cat_ids: Sequence[int]):
         n, n_cols = inst.n, len(cat_ids)
         self.cat_ids = tuple(cat_ids)
-        self.cptr = [0]
-        self.cagents: list[int] = []
-        self.cpos: list[int] = []
-        cagents, cpos = self.cagents, self.cpos
+        cptr: list[int] = [0]
+        cagents: list[int] = []
+        cpos: list[int] = []
         deg = [0] * n
         for c in self.cat_ids:
             ranking = inst.categories[c].ranking
-            for t, tier in enumerate(ranking.tiers[:ranking.cutoff]):
-                for a in sorted(tier) if len(tier) > 1 else tier:
-                    cagents.append(a)
-                    cpos.append(t)
+            tiers, cutoff, flat = ranking.tiers, ranking.cutoff, ranking._flat
+            if len(flat) == len(tiers):  # strict: no tier is empty, so each holds one agent
+                column = flat[:cutoff]
+                cagents += column
+                cpos += range(cutoff)
+                for a in column:
                     deg[a] += 1
-            self.cptr.append(len(cagents))
-        self.indptr = [0, *accumulate(deg)]
-        self.cats = [0] * len(cagents)
-        self.epos = [0] * len(cagents)
-        nxt = self.indptr[:-1]  # each row's next free edge, filled column by column
-        for j in range(n_cols):
-            for k in range(self.cptr[j], self.cptr[j + 1]):
-                e = nxt[cagents[k]]
-                nxt[cagents[k]] = e + 1
-                self.cats[e], self.epos[e] = j, cpos[k]
+            else:
+                for t, tier in enumerate(tiers[:cutoff]):
+                    for a in sorted(tier) if len(tier) > 1 else tier:
+                        cagents.append(a)
+                        cpos.append(t)
+                        deg[a] += 1
+            cptr.append(len(cagents))
+        indptr = [0, *accumulate(deg)]
+        cats, epos = [0] * len(cagents), [0] * len(cagents)
+        nxt = indptr[:-1]  # each row's next free edge, filled column by column
+        cols = chain.from_iterable(map(repeat, range(n_cols), map(sub, cptr[1:], cptr)))
+        for a, p, j in zip(cagents, cpos, cols):
+            e = nxt[a]
+            nxt[a] = e + 1
+            cats[e] = j
+            epos[e] = p
+        self.cptr, self.cagents, self.cpos = cptr, cagents, cpos
+        self.indptr, self.cats, self.epos = indptr, cats, epos
         self.cap = [min(inst.categories[c].quota, max(n, 1)) for c in self.cat_ids]
         self.slot_base = [0, *accumulate(self.cap)][:n_cols]
         self.thr = [_kernels.THR_INF] * n_cols

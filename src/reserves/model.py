@@ -71,11 +71,14 @@ class PriorityRanking:
 
     @classmethod
     def _resolved(cls, tiers: tuple[tuple[int, ...], ...], cutoff: int,
-                  flat: tuple[int, ...]) -> "PriorityRanking":
+                  flat: tuple[int, ...], n: int) -> "PriorityRanking":
         """The ranking of ``tiers``, given ``flat``, the ids of ``tiers`` in
-        order, which a parser has already built; it becomes ``_flat``."""
+        order, which a parser has already built from its table of ``n``
+        agent names; it becomes ``_flat``, and ``validate(n)`` trusts that
+        its ids are in ``range(n)``."""
         ranking = cls(tiers, cutoff)
         ranking.__dict__["_flat"] = flat
+        ranking.__dict__["_ids_below"] = n
         return ranking
 
     @cached_property
@@ -87,13 +90,15 @@ class PriorityRanking:
         are nonempty and hold distinct ids in ``range(n)``. One bulk check
         decides, and its success is recorded for ``n``, so a ranking shared
         by derived instances is checked once; only a ranking that fails it
-        is walked agent by agent, to name the first offender."""
-        if self.__dict__.get("_valid_for") == n:
+        is walked agent by agent, to name the first offender. The id range
+        is not checked for the ``n`` a parser resolved the ids against."""
+        d = self.__dict__
+        if d.get("_valid_for") == n:
             return
         tiers, cutoff, flat = self.tiers, self.cutoff, self._flat
         if (0 <= cutoff <= len(tiers) and all(tiers) and len(set(flat)) == len(flat)
-                and (not flat or 0 <= min(flat) and max(flat) < n)):
-            self.__dict__["_valid_for"] = n
+                and (not flat or d.get("_ids_below") == n or 0 <= min(flat) and max(flat) < n)):
+            d["_valid_for"] = n
             return
         if not 0 <= cutoff <= len(tiers):
             raise ValidationError(f"cutoff {cutoff} out of range for {len(tiers)} tiers")
@@ -537,12 +542,12 @@ def instance_from_document(doc: dict) -> Instance:
                                        ids, f"category {name!r}")
             cutoff = _require(cd, "cutoff", int, f"category {name!r}")
             categories.append(Category(name, quota, Kind.PREFERENTIAL,
-                                       PriorityRanking._resolved(tiers, cutoff, flat)))
+                                       PriorityRanking._resolved(tiers, cutoff, flat, n)))
         elif kind == "unreserved":
             if unreserved_doc is not None:
                 raise ValidationError("more than one unreserved category")
             unreserved_doc = (name, quota, cd)
-            base_ranking = PriorityRanking._resolved(tuple(zip(baseline)), n, baseline)
+            base_ranking = PriorityRanking._resolved(tuple(zip(baseline)), n, baseline, n)
             tiers = base_ranking.tiers
             if "tiers" in cd:
                 tiers, _ = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),

@@ -9,6 +9,7 @@ of nested removals.
 
 import random
 import tracemalloc
+from itertools import accumulate
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
@@ -17,6 +18,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, p
 from conftest import adj_edges, make_instance, reference_size, with_quotas
 from reserves.generator import random_instance
 from reserves.graph import _RejectionEngine
+from reserves.model import enumerate_priority_decreases
 from reserves.oracle import _reduced_adj, enumerate_matchings
 
 
@@ -104,6 +106,88 @@ def test_engine_memory_follows_the_edges():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+def _reference_layout(inst, cat_ids):
+    """The engine's CSRs built tier by tier and edge by edge, each tier's
+    agents in id order: columns (cptr, cagents, cpos), then rows (indptr,
+    cats, epos) filled column by column."""
+    cptr, cagents, cpos, deg = [0], [], [], [0] * inst.n
+    for c in cat_ids:
+        ranking = inst.categories[c].ranking
+        for t, tier in enumerate(ranking.tiers[:ranking.cutoff]):
+            for a in sorted(tier):
+                cagents.append(a)
+                cpos.append(t)
+                deg[a] += 1
+        cptr.append(len(cagents))
+    indptr = [0, *accumulate(deg)]
+    cats, epos, nxt = [0] * len(cagents), [0] * len(cagents), indptr[:-1]
+    for j in range(len(cat_ids)):
+        for k in range(cptr[j], cptr[j + 1]):
+            e = nxt[cagents[k]]
+            nxt[cagents[k]] = e + 1
+            cats[e], epos[e] = j, cpos[k]
+    return cptr, cagents, cpos, indptr, cats, epos
+
+
+def _layout_doc(rng):
+    """An instance document with strict or tied rankings (tie probability
+    0, 0.4 or 0.9), cutoffs anywhere from 0 to full length, agents in no
+    tier, zero quotas and, in half of them, an unreserved pair."""
+    n = rng.randint(0, 24)
+    names = [f"a{i}" for i in range(n)]
+    baseline = rng.sample(names, n)
+    tie_prob = rng.choice((0.0, 0.0, 0.4, 0.9))
+    cats = []
+    for k in range(rng.randint(0, 6)):
+        tiers = []
+        for a in rng.sample(names, rng.randint(0, n)):
+            if tiers and rng.random() < tie_prob:
+                tiers[-1].append(a)
+            else:
+                tiers.append([a])
+        cutoff = rng.choice((0, len(tiers), rng.randint(0, len(tiers))))
+        cats.append({"name": f"c{k}", "quota": rng.randint(0, 3), "kind": "preferential",
+                     "tiers": tiers, "cutoff": cutoff})
+    doc = {"agents": names, "baseline": baseline, "categories": cats}
+    if rng.random() < 0.5:
+        q = rng.randint(0, 4)
+        cats.insert(rng.randint(0, len(cats)), {"name": "u", "quota": q, "kind": "unreserved"})
+        first = rng.randint(0, q)
+        doc["unreserved_split"] = {"first": first, "last": q - first}
+    return doc
+
+
+def test_engine_layout_equals_the_tier_by_tier_reference():
+    """Strict rankings are laid out in one slice and tied ones tier by tier;
+    both give the reference's arrays, on parsed instances and on the
+    manipulated ones the harnesses build, over every column and over the
+    preferential ones."""
+    shapes = {"strict": 0, "tied": 0, "cutoff 0": 0, "full": 0, "zero quota": 0,
+              "unranked agent": 0, "unreserved": 0, "manipulated": 0}
+    for seed in range(320):
+        rng = random.Random(seed)
+        inst = make_instance(_layout_doc(rng))
+        insts = [inst]
+        if inst.n and seed % 4 == 0:
+            insts += list(enumerate_priority_decreases(inst, rng.randrange(inst.n), budget=3))
+            shapes["manipulated"] += len(insts) - 1
+        for cat in inst.categories:
+            r = cat.ranking
+            shapes["tied" if len(r._flat) > len(r.tiers) else "strict"] += 1
+            shapes["cutoff 0"] += r.cutoff == 0
+            shapes["full"] += 0 < r.cutoff == len(r.tiers)
+            shapes["zero quota"] += cat.quota == 0
+            shapes["unranked agent"] += len(r._flat) < inst.n
+        shapes["unreserved"] += inst.has_unreserved
+        for each in insts:
+            for cat_ids in (range(len(each.categories)), each.preferential_ids):
+                engine = _RejectionEngine(each, cat_ids)
+                got = (engine.cptr, engine.cagents, engine.cpos, engine.indptr, engine.cats,
+                       engine.epos)
+                assert got == _reference_layout(each, cat_ids), seed
+    assert min(shapes.values()) >= 50, shapes
 
 
 # --- the engine's maximum matchings -----------------------------------------

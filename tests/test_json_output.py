@@ -45,6 +45,22 @@ def test_indented_equals_json_dumps(doc):
     assert _indented(doc) == json.dumps(doc, indent=2)
 
 
+# keys and strings that hold the text the dict-of-dicts path cuts at
+CUT_TEXT = (st.text(max_size=4)
+            | st.sampled_from(['"},\n  {"', "},\n  {", '",\n    "', "\n", "é", "名前", ""]))
+FLAT_DICTS = st.dictionaries(CUT_TEXT | KEYS, SCALARS | CUT_TEXT, min_size=1, max_size=3)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.dictionaries(CUT_TEXT, FLAT_DICTS, min_size=1, max_size=5), CUT_TEXT)
+@example({"c0": {"used": 3, "quota": 3}, "u[first]": {"used": 0, "quota": 1}}, "utilization")
+def test_dicts_of_flat_dicts_equal_json_dumps(doc, key):
+    """A dict of nonempty dicts of strict scalars, like ``utilization``, is
+    one encoder call cut back into items; at top level and nested."""
+    for obj in (doc, {key: doc}, {"size": 1, key: doc, "": [doc]}):
+        assert _indented(obj) == json.dumps(obj, indent=2)
+
+
 def _split_flag(doc: dict) -> list[str]:
     pools = [c["quota"] for c in doc["categories"] if c["kind"] == "unreserved"]
     if not pools or "unreserved_split" in doc:

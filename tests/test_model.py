@@ -10,7 +10,7 @@ import pytest
 from conftest import RUNNING_DOC, SCAN_DOC, make_instance
 from reserves.generator import random_instance, random_instance_document
 from reserves.model import (EMPTY, Category, Instance, Kind, Matching, ParseError,
-                            PriorityRanking, ValidationError, apply_manipulation,
+                            PriorityRanking, ValidationError, _moved, apply_manipulation,
                             enumerate_priority_decreases, instance_from_document, parse_instance,
                             priority_decrease_holds, serialize_instance,
                             strictly_prefers, validate_matching)
@@ -181,6 +181,51 @@ def test_directly_built_rankings_are_validated(ranking, message):
     with pytest.raises(ValueError) as e:
         Instance(plain.agent_names, _with_ranking(plain, 0, ranking), plain.baseline)
     assert (type(e.value), str(e.value)) == expected
+
+
+def _rankings_off_range():
+    """(label, ranking, bad id): rankings holding an id outside the two-agent
+    instance below, from the parser of a three-agent document and derived
+    from one, and built directly."""
+    parsed = make_instance({"agents": ["a", "b", "z"], "baseline": ["a", "b", "z"],
+                            "categories": [{"name": "c", "quota": 1, "kind": "preferential",
+                                            "tiers": [["a"], ["z"], ["b"]], "cutoff": 2}]}
+                           ).categories[0].ranking
+    negative = PriorityRanking(((0,), (-1,), (1,)), 2)
+    return [
+        ("parsed for three agents", parsed, 2),
+        ("_moved", _moved(parsed, 0, 2), 2),
+        ("replace", replace(parsed, cutoff=3), 2),
+        ("direct", PriorityRanking(parsed.tiers, parsed.cutoff), 2),
+        ("_moved, negative", _moved(negative, 1, 2), -1),
+        ("replace, negative", replace(parsed, tiers=((0,), (-1,), (1,))), -1),
+        ("direct, negative", negative, -1),
+    ]
+
+
+@pytest.mark.parametrize("label, ranking, bad", _rankings_off_range(),
+                         ids=[label for label, _, _ in _rankings_off_range()])
+def test_range_pass_is_skipped_only_for_the_parsers_agent_count(label, ranking, bad):
+    """The parser vouches for its ids in ``range(n)`` for its own n only: a
+    ranking it resolved for three agents, or one derived from it by
+    ``_moved`` or ``dataclasses.replace``, or built directly, still fails in
+    a two-agent instance with the unknown id named."""
+    inst = make_instance(_doc([["a"], ["b"]], 2))
+    with pytest.raises(ValueError) as e:
+        Instance(inst.agent_names, _with_ranking(inst, 0, ranking), inst.baseline)
+    assert (type(e.value), str(e.value)) == (
+        ValidationError, f"category 'c': unknown agent id {bad} in priority ranking")
+
+
+@pytest.mark.parametrize("tiers, message", [
+    ([["b"], ["a"], ["b"]], "category 'c': agent 1 appears in more than one tier"),
+    ([["a"], ["b"], ["a"], ["b"]], DUPLICATE),
+    ([["b"], ["a"], ["a"], []], "category 'c': agent 0 appears in more than one tier"),
+])
+def test_a_strict_parsed_ranking_that_repeats_an_agent_names_the_first_repeat(tiers, message):
+    with pytest.raises(ValueError) as e:
+        parse_instance(json.dumps(_doc(tiers, 2)))
+    assert (type(e.value), str(e.value)) == (ValidationError, message)
 
 
 @pytest.mark.parametrize("seed", range(12))
