@@ -1,5 +1,5 @@
 """Hand-built instance documents shared by the tests and by CI's console-script
-step. Plain data and one builder: importing this module needs only the
+step: plain data and ``chain_doc``. Importing this module needs only the
 standard library."""
 
 
