@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from collections import Counter
 from itertools import chain
@@ -245,10 +246,15 @@ def _emit(args, payload: dict | list) -> None:
         text = _indented(payload)
     else:
         text = _as_table(payload)
-    if args.out:
+    if args.out is not None:
+        # overwritten in place and cut at the end, not truncated on open: on
+        # ext4 closing a file truncated to zero and rewritten starts writeback
         try:
-            with open(args.out, "w") as f:
+            fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "w") as f:
                 f.write(text + "\n")
+                if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null, a pipe or a tty
+                    f.truncate()
         except OSError as e:
             raise ParseError(f"cannot write {args.out}: {e}") from None
     else:

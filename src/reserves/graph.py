@@ -54,15 +54,15 @@ class _RejectionEngine:
         deg = [0] * n
         for c in self.cat_ids:
             ranking = inst.categories[c].ranking
-            tiers, cutoff, flat = ranking.tiers, ranking.cutoff, ranking._flat
-            if len(flat) == len(tiers):  # strict: no tier is empty, so each holds one agent
-                column = flat[:cutoff]
+            cutoff = ranking.cutoff
+            if ranking._strict:
+                column = ranking._flat[:cutoff]
                 cagents += column
                 cpos += range(cutoff)
                 for a in column:
                     deg[a] += 1
             else:
-                for t, tier in enumerate(tiers[:cutoff]):
+                for t, tier in enumerate(ranking.tiers[:cutoff]):
                     for a in sorted(tier) if len(tier) > 1 else tier:
                         cagents.append(a)
                         cpos.append(t)

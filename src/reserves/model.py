@@ -57,6 +57,21 @@ class Kind(str, Enum):
         return self is not Kind.PREFERENTIAL
 
 
+class _OneAgentTiers:
+    """``PriorityRanking.tiers`` of a ranking that holds only its flat ids,
+    as the parser builds a strict one: the one-agent tiers are built on the
+    first read and stored in the instance dict, which later reads find
+    first, as with ``functools.cached_property``. Every other ranking stores
+    its tiers when constructed. Read on the class it raises AttributeError,
+    so the dataclass field has no default."""
+
+    def __get__(self, ranking, owner=None):
+        if ranking is None:
+            raise AttributeError("tiers")
+        tiers = ranking.__dict__["tiers"] = tuple(zip(ranking._flat))
+        return tiers
+
+
 @dataclass(frozen=True)
 class PriorityRanking:
     """Ordered tiers of agents, highest priority first, with an eligibility cutoff.
@@ -66,24 +81,38 @@ class PriorityRanking:
     strictly below the empty slot. Agents in no tier are tied with it.
     """
 
-    tiers: tuple[tuple[int, ...], ...]
+    tiers: tuple[tuple[int, ...], ...] = _OneAgentTiers()
     cutoff: int
 
     @classmethod
-    def _resolved(cls, tiers: tuple[tuple[int, ...], ...], cutoff: int,
+    def _resolved(cls, tiers: Optional[tuple[tuple[int, ...], ...]], cutoff: int,
                   flat: tuple[int, ...], n: int) -> "PriorityRanking":
         """The ranking of ``tiers``, given ``flat``, the ids of ``tiers`` in
         order, which a parser has already built from its table of ``n``
         agent names; it becomes ``_flat``, and ``validate(n)`` trusts that
-        its ids are in ``range(n)``."""
-        ranking = cls(tiers, cutoff)
-        ranking.__dict__["_flat"] = flat
-        ranking.__dict__["_ids_below"] = n
+        its ids are in ``range(n)``. ``tiers`` is None when the parser found
+        each tier to hold one agent: the ranking is strict, and its tiers
+        are built when first read."""
+        ranking = cls.__new__(cls)
+        d = ranking.__dict__
+        if tiers is not None:
+            d["tiers"] = tiers
+        d.update(cutoff=cutoff, _flat=flat, _ids_below=n, _strict=tiers is None)
         return ranking
 
     @cached_property
     def _flat(self) -> tuple[int, ...]:
         return tuple(chain.from_iterable(self.tiers))
+
+    @cached_property
+    def _strict(self) -> bool:
+        """Whether each tier holds one agent."""
+        tiers = self.tiers
+        return len(tiers) == len(self._flat) and all(tiers)
+
+    @property
+    def _tier_count(self) -> int:
+        return len(self._flat) if self._strict else len(self.tiers)
 
     def validate(self, n: int) -> None:
         """Raise ValidationError unless the cutoff is in range and the tiers
@@ -91,19 +120,21 @@ class PriorityRanking:
         decides, and its success is recorded for ``n``, so a ranking shared
         by derived instances is checked once; only a ranking that fails it
         is walked agent by agent, to name the first offender. The id range
-        is not checked for the ``n`` a parser resolved the ids against."""
+        is not checked for the ``n`` a parser resolved the ids against, nor
+        are the tiers of a strict ranking scanned for an empty one."""
         d = self.__dict__
         if d.get("_valid_for") == n:
             return
-        tiers, cutoff, flat = self.tiers, self.cutoff, self._flat
-        if (0 <= cutoff <= len(tiers) and all(tiers) and len(set(flat)) == len(flat)
+        cutoff, flat, count = self.cutoff, self._flat, self._tier_count
+        if (0 <= cutoff <= count and (self._strict or all(self.tiers))
+                and len(set(flat)) == len(flat)
                 and (not flat or d.get("_ids_below") == n or 0 <= min(flat) and max(flat) < n)):
             d["_valid_for"] = n
             return
-        if not 0 <= cutoff <= len(tiers):
-            raise ValidationError(f"cutoff {cutoff} out of range for {len(tiers)} tiers")
+        if not 0 <= cutoff <= count:
+            raise ValidationError(f"cutoff {cutoff} out of range for {count} tiers")
         seen: set[int] = set()
-        for tier in tiers:
+        for tier in self.tiers:
             if not tier:
                 raise ValidationError("empty tier in priority ranking")
             for a in tier:
@@ -117,11 +148,11 @@ class PriorityRanking:
     def positions(self) -> _Positions:
         """The table of ``position``, built on the ranking's first query:
         ``positions[a]`` is ``position(a)`` for every agent and EMPTY."""
-        tiers, cutoff, flat = self.tiers, self.cutoff, self._flat
-        ranks = chain(range(cutoff), range(cutoff + 1, len(tiers) + 1))
-        if len(flat) != len(tiers):  # ties: each tier's rank once per agent
-            ranks = chain.from_iterable(map(repeat, ranks, map(len, tiers)))
-        return _Positions(cutoff, zip(flat, ranks))
+        cutoff = self.cutoff
+        ranks = chain(range(cutoff), range(cutoff + 1, self._tier_count + 1))
+        if not self._strict:  # ties: each tier's rank once per agent
+            ranks = chain.from_iterable(map(repeat, ranks, map(len, self.tiers)))
+        return _Positions(cutoff, zip(self._flat, ranks))
 
     def position(self, a: AgentRef) -> int:
         """Comparable rank: smaller is higher priority. The empty slot sits at
@@ -137,6 +168,8 @@ class PriorityRanking:
         return None if p == cutoff else p - (p > cutoff)
 
     def eligible_agents(self) -> list[int]:
+        if self._strict:
+            return list(self._flat[: self.cutoff])
         return [a for tier in self.tiers[: self.cutoff] for a in tier]
 
 
@@ -184,10 +217,10 @@ class Instance:
             if c.quota < 0:
                 raise ValidationError(f"negative quota for category {c.name!r}")
             r = c.ranking
-            # n nonempty tiers that list the baseline hold one agent each: the
-            # baseline's own ranking, which its permutation check has validated
-            if (c.kind.is_unreserved and r.cutoff == n == len(r.tiers)
-                    and r._flat == self.baseline and all(r.tiers)):
+            # a strict ranking of the baseline, all eligible, is the baseline's
+            # own ranking, which its permutation check has validated
+            if (c.kind.is_unreserved and r.cutoff == n and r._flat == self.baseline
+                    and r._strict):
                 continue
             try:
                 r.validate(n)
@@ -231,6 +264,8 @@ class Instance:
         if p > ranking.cutoff:  # the agents in no tier sit at the cutoff
             return [a for a in range(self.n) if ranking.positions[a] < p]
         # above the empty slot a tier's index is its agents' position
+        if ranking._strict:
+            return ranking._flat[:p]
         return chain.from_iterable(ranking.tiers[:p])
 
     @cached_property
@@ -461,17 +496,17 @@ def _resolve_all(names: list, ids: dict[str, int], where: str) -> tuple[int, ...
 
 
 def _parse_tiers(tiers_doc: list, ids: dict[str, int],
-                 where: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+                 where: str) -> tuple[Optional[tuple[tuple[int, ...], ...]], tuple[int, ...]]:
     """Resolve a ranking's tiers of agent names to tiers of ids; returns the
     tiers and their ids in order. The names of all tiers resolve in one
-    ``_resolve_all`` pass, and the tiers are cut back out of it: zipped when
-    every tier holds one agent, as in strict rankings, else sliced by tier
-    length."""
+    ``_resolve_all`` pass. When every tier holds one agent, as in strict
+    rankings, the tiers are None, for ``PriorityRanking._resolved`` to build
+    on demand; else they are sliced back out by tier length."""
     if not all(map(isinstance, tiers_doc, repeat(list))):
         raise ParseError(f"each tier in {where} must be a JSON array")
     flat = _resolve_all(list(chain.from_iterable(tiers_doc)), ids, where)
     if len(flat) == len(tiers_doc) and all(tiers_doc):
-        return tuple(zip(flat)), flat
+        return None, flat
     ends = list(accumulate(map(len, tiers_doc)))
     return tuple(flat[s:e] for s, e in zip([0, *ends], ends)), flat
 
@@ -547,13 +582,12 @@ def instance_from_document(doc: dict) -> Instance:
             if unreserved_doc is not None:
                 raise ValidationError("more than one unreserved category")
             unreserved_doc = (name, quota, cd)
-            base_ranking = PriorityRanking._resolved(tuple(zip(baseline)), n, baseline, n)
-            tiers = base_ranking.tiers
+            tiers, flat = None, baseline
             if "tiers" in cd:
-                tiers, _ = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),
-                                        ids, f"category {name!r}")
+                tiers, flat = _parse_tiers(_require(cd, "tiers", list, f"category {name!r}"),
+                                           ids, f"category {name!r}")
             cutoff = _require(cd, "cutoff", int, f"category {name!r}") if "cutoff" in cd else n
-            if (tiers, cutoff) != (base_ranking.tiers, n):
+            if (tiers, flat, cutoff) != (None, baseline, n):
                 raise ValidationError(
                     f"unreserved category {name!r} priority must equal the baseline"
                 )
@@ -567,6 +601,7 @@ def instance_from_document(doc: dict) -> Instance:
                     raise ValidationError(
                         f"unreserved_split ({first}, {last}) must partition quota {quota}"
                     )
+            base_ranking = PriorityRanking._resolved(None, n, baseline, n)
             categories.append(Category(name, first, Kind.UNRESERVED_FIRST, base_ranking))
             categories.append(Category(name, last, Kind.UNRESERVED_LAST, base_ranking))
         else:

@@ -486,6 +486,55 @@ def test_unwritable_out_path(tmp_path, capsys):
         capsys, ["allocate", "--rule", "rr", "--instance", inst, "--out", out])
 
 
+def test_empty_out_path_is_an_input_error(tmp_path, capsys):
+    # an unset shell variable must not send the document to stdout
+    inst = write(tmp_path, "i.json", RUNNING_DOC)
+    code = main(["allocate", "--rule", "rr", "--instance", inst, "--out", ""])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot write : ")
+
+
+GEN_ARGV = ["gen", "--agents", "30", "--categories", "3", "--seed", "5"]
+
+
+def stdout_bytes(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("extra", [100_000, -100], ids=["longer", "shorter"])
+def test_out_replaces_an_existing_file_in_place(tmp_path, capsys, extra):
+    expected = stdout_bytes(capsys, GEN_ARGV)
+    target = tmp_path / "out.json"
+    target.write_bytes(b"x" * (len(expected) + extra))
+    target.chmod(0o600)
+    before = target.stat()
+    assert main([*GEN_ARGV, "--out", str(target)]) == 0
+    after = target.stat()
+    assert target.read_bytes() == expected
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+def test_out_through_a_symlink_reaches_every_hard_link(tmp_path, capsys):
+    expected = stdout_bytes(capsys, GEN_ARGV)
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * 1000)
+    symlink, hard_link = tmp_path / "symlink.json", tmp_path / "hard.json"
+    symlink.symlink_to(target)
+    os.link(target, hard_link)
+    assert main([*GEN_ARGV, "--out", str(symlink)]) == 0
+    assert symlink.is_symlink()
+    assert target.read_bytes() == hard_link.read_bytes() == expected
+
+
+def test_out_to_dev_null(capsys):
+    # a character device: written, never truncated
+    assert main([*GEN_ARGV, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_closed_stdout_exits_2_with_one_line(tmp_path):
     # the reader is gone before the first write: a short output fails in
     # main's flush, a long one in the write itself
