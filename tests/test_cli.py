@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from conftest import (EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC, SCAN_DOC, chain_
 import reserves
 from reserves import axioms, oracle
 from reserves.cli import main, report_doc
-from reserves.generator import random_instance
+from reserves.generator import random_instance, random_instance_document
 from reserves.model import Matching, enumerate_priority_decreases, serialize_instance
 from reserves.rules import rr
 
@@ -667,6 +668,57 @@ def test_table_format_carries_same_fields(tmp_path, capsys):
     assert code == 0
     for token in ("assignment", "c2", "utilization", "rejected"):
         assert token in text
+
+
+def test_table_format_of_rr_is_pinned(tmp_path, capsys):
+    inst = write(tmp_path, "i.json", RUNNING_DOC)
+    assert main(["allocate", "--rule", "rr", "--instance", inst, "--format", "table"]) == 0
+    assert capsys.readouterr().out == """\
+rule: rr
+assignment:
+  2: c2
+  3: c1
+size: 2
+utilization:
+  c1:
+    used: 1
+    quota: 1
+  c2:
+    used: 1
+    quota: 1
+ms_total: 2
+rejected:
+  - 1
+trace:
+    agent: 3
+    rejected: False
+    ms_tested: 1
+
+    agent: 2
+    rejected: False
+    ms_tested: 0
+
+    agent: 1
+    rejected: True
+    ms_tested: 2
+"""
+
+
+def test_table_format_of_rr_pinned_on_a_seeded_corpus(tmp_path, capsys):
+    # 0-16 agents (no trace at all at 0), strict rankings in half of the
+    # documents and ties in the other half, 0-3 unreserved units. The
+    # digest was taken when the trace was rendered from one dict per agent.
+    h = hashlib.sha256()
+    path = tmp_path / "i.json"
+    for seed in range(120):
+        doc = random_instance_document(seed % 17, 1 + seed % 4, max_quota=1 + seed % 3,
+                                       tie_prob=(0.0, 0.5)[seed % 2], seed=seed,
+                                       unreserved=seed % 4)
+        path.write_text(json.dumps(doc))
+        assert main(["allocate", "--rule", "rr", "--instance", str(path),
+                     "--format", "table"]) == 0
+        h.update(capsys.readouterr().out.encode() + b"\0")
+    assert h.hexdigest() == "740bc54b8ef359118935ea18f43888ce5ab84689dd8c7a1dc442c653969c69d6"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
