@@ -28,6 +28,14 @@ timeout 20 "${cli[@]}" verify --count 200 --max-agents 19 --categories 3 --unres
   --out "$work/big.json"
 timeout 20 "${cli[@]}" allocate --rule rr --instance "$work/big.json" \
   --out "$work/big-rr.json"
+# its table: the trace's rows, one ms_tested line per agent, and nothing on stderr
+timeout 20 "${cli[@]}" allocate --rule rr --instance "$work/big.json" --format table \
+  >"$work/big-rr.txt" 2>"$work/big-table.err"
+rows=$(grep -c '^ *ms_tested: ' "$work/big-rr.txt" || true)
+[ "$rows" -eq 3000 ] || { echo "the rr table has $rows ms_tested lines, expected 3000"; exit 1; }
+if [ -s "$work/big-table.err" ]; then
+  cat "$work/big-table.err"; echo "the rr table wrote to stderr"; exit 1
+fi
 # and at 100000 agents, where undoing a test replays only its writes (about 2 s)
 "${cli[@]}" gen --agents 100000 --categories 50 --max-quota 50 --eligibility-density 0.05 \
   --seed 77 --out "$work/huge-rr.json"

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from itertools import filterfalse
 from typing import Callable, Optional, Sequence
 
@@ -135,7 +135,28 @@ def check_nonwasteful(inst: Instance, m: Matching,
     return _report("nonwasteful", [WasteWitness(i, c) for i, c in bad], max_witnesses)
 
 
-@lru_cache(maxsize=1)
+def _keep_last(fn: Callable[[Instance], int]) -> Callable[[Instance], int]:
+    """``fn`` with its last instance's answer kept, matched by identity. An
+    ``Instance`` hashes every ranking's tiers, and builds a strict parsed
+    ranking's, so a hash-keyed cache walks the whole instance per call. The
+    entry holds the instance itself, so no other instance can reuse its id
+    while it is kept. ``cache_clear`` drops it."""
+    last: list = [None, None]
+
+    @wraps(fn)
+    def cached(inst: Instance) -> int:
+        if last[0] is not inst:
+            last[:] = inst, fn(inst)
+        return last[1]
+
+    def cache_clear() -> None:
+        last[0] = None
+
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_keep_last
 def _preferential_optimum(inst: Instance) -> int:
     """The most agents an eligibility-compliant matching can place in
     preferential categories. The last instance's answer is kept, so that

@@ -161,6 +161,43 @@ _INDENT = "  "
 _STRICT_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
+class _TraceRows:
+    """rr's ``trace``: the scan's (agent, size tested without her) pairs, in
+    scan order, read as the objects ``{"agent": name, "rejected": size ==
+    ms_total, "ms_tested": size}``. Both renderers write it a row at a time
+    from one format, so no object is built per agent. Names enter the rows
+    as ``%`` arguments, never as part of a format."""
+
+    __slots__ = ("names", "pairs", "ms_total")
+
+    def __init__(self, names: Sequence[str], pairs: Sequence[tuple[int, int]], ms_total: int):
+        self.names, self.pairs, self.ms_total = names, pairs, ms_total
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def indented(self, depth: int) -> str:
+        """``json.dumps(indent=2)``'s text of the objects as a list at ``depth``."""
+        if not self.pairs:
+            return "[]"
+        outer = "\n" + _INDENT * depth
+        inner = outer + _INDENT
+        deeper = inner + _INDENT
+        row = ("{" + deeper + '"agent": %s,' + deeper + '"rejected": %s,' + deeper
+               + '"ms_tested": %d' + inner + "}")
+        names, ms_total = self.names, self.ms_total
+        return "[" + inner + ("," + inner).join([
+            row % (encode_basestring_ascii(names[i]), "true" if size == ms_total else "false",
+                   size) for i, size in self.pairs]) + outer + "]"
+
+    def table(self, indent: str) -> str:
+        """``_as_table``'s text of the objects as a list at ``indent``."""
+        item = indent + _INDENT
+        row = item + "agent: %s\n" + item + "rejected: %s\n" + item + "ms_tested: %d"
+        names, ms_total = self.names, self.ms_total
+        return "\n\n".join([row % (names[i], size == ms_total, size) for i, size in self.pairs])
+
+
 @functools.lru_cache(maxsize=None)
 def _encoder(depth: int):
     """The C encoder with ``json.dumps(indent=2)``'s item separator at
@@ -206,7 +243,9 @@ def _indented(obj, depth: int = 0) -> str:
     in a closing bracket or starts with an opening one. An empty container
     inside such an item would break it (``[[[], []]]``). A dict with ``str``
     keys whose values are such dicts takes the same path for its values,
-    and its keys are put back between the items."""
+    and its keys are put back between the items. rr's trace writes itself."""
+    if type(obj) is _TraceRows:
+        return obj.indented(depth)
     if isinstance(obj, dict):
         values = obj.values()
     elif isinstance(obj, (list, tuple)):
@@ -262,10 +301,12 @@ def _emit(args, payload: dict | list) -> None:
 
 
 def _as_table(payload, indent: str = "") -> str:
+    if type(payload) is _TraceRows:
+        return payload.table(indent)
     lines = []
     if isinstance(payload, dict):
         for key, val in payload.items():
-            if isinstance(val, (dict, list)) and val:
+            if isinstance(val, (dict, list, _TraceRows)) and val:
                 lines.append(f"{indent}{key}:")
                 lines.append(_as_table(val, indent + "  "))
             else:
@@ -348,12 +389,10 @@ def cmd_allocate(args) -> int:
         # the rules that process the unreserved pools in order echo their split
         out["split"] = {"first": work.split[0], "last": work.split[1]}
     if trace is not None:
-        # written from the scan's pairs: an agent is rejected when her size is ms_total
-        out["ms_total"] = ms_total = trace.ms_total
+        out["ms_total"] = trace.ms_total
         names = inst.agent_names
         out["rejected"] = sorted([names[a] for a in trace.rejected])
-        out["trace"] = [{"agent": names[i], "rejected": size == ms_total, "ms_tested": size}
-                        for i, size in trace.tested]
+        out["trace"] = _TraceRows(names, trace.tested, trace.ms_total)
     _emit(args, out)
     return EXIT_OK
 

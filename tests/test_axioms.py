@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -257,6 +258,67 @@ def test_check_builds_the_preferential_engine_once(tmp_path, monkeypatch):
     rep = check_max_beneficiary(lone, Matching({0: 0, 1: 0}))
     assert (rep.holds, rep.witnesses) == (False, (SizeGapWitness(2, 1),))
     assert len(builds) == 1
+
+
+def _count_engine_builds(monkeypatch) -> list:
+    """A list that gains an item per engine build; it holds no instance."""
+    builds = []
+    init = _RejectionEngine.__init__
+    monkeypatch.setattr(_RejectionEngine, "__init__",
+                        lambda engine, *args: builds.append(None) or init(engine, *args))
+    _preferential_optimum.cache_clear()
+    return builds
+
+
+def test_size_checks_share_one_engine_without_hashing_the_instance(monkeypatch):
+    inst = make_instance(random_instance_document(30, 4, seed=11, unreserved=2))
+    matching, _ = rr(inst)
+    short = Matching(dict(list(matching.assignment.items())[1:]))
+    builds = _count_engine_builds(monkeypatch)
+    # the one-entry cache matches the instance by identity: no hash walks it
+    monkeypatch.setattr(type(inst), "__hash__", lambda self: pytest.fail("hashed"))
+    assert not check_max_size(inst, short).holds
+    assert not check_max_beneficiary(inst, short).holds
+    assert len(builds) == 1
+
+
+def test_size_check_of_a_short_matching_builds_no_tiers(tmp_path, monkeypatch, capsys):
+    """check --matching on a matching one preferential pair short falls back
+    to the engine, which leaves a strict parsed ranking's tiers unbuilt."""
+    doc = random_instance_document(40, 5, max_quota=3, seed=12, unreserved=2)
+    path, matching = tmp_path / "i.json", tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    given = ["--instance", str(path), "--split", "1,1"]
+    assert cli.main(["allocate", "--rule", "srr", *given, "--out", str(matching)]) == 0
+    assignment = json.loads(matching.read_text())["assignment"]
+    del assignment[next(a for a, c in assignment.items() if not c.startswith("u"))]
+    matching.write_text(json.dumps(assignment))
+    loaded = []
+    load = cli.load_instance
+    monkeypatch.setattr(cli, "load_instance", lambda p: loaded.append(load(p)) or loaded[-1])
+    builds = _count_engine_builds(monkeypatch)
+    assert cli.main(["check", *given, "--matching", str(matching)]) == 1
+    reports = {r["axiom"]: r["holds"] for r in json.loads(capsys.readouterr().out)}
+    assert not reports["max_size"] and not reports["max_beneficiary"]
+    assert len(builds) == 1
+    (inst, _), = loaded
+    assert all(cat.ranking._strict for cat in inst.categories)
+    assert not any("tiers" in cat.ranking.__dict__ for cat in inst.categories)
+
+
+def test_preferential_optimum_of_equal_and_of_reused_instances(monkeypatch):
+    doc = random_instance_document(12, 3, seed=2, unreserved=1)
+    first, equal = make_instance(doc), make_instance(doc)
+    other = make_instance(random_instance_document(12, 3, seed=3))
+    assert first == equal and first is not equal
+    a, b = (_RejectionEngine(x, x.preferential_ids).size() for x in (first, other))
+    assert a != b
+    builds = _count_engine_builds(monkeypatch)
+    assert [_preferential_optimum(x) for x in (first, first, other, equal, first)] \
+        == [a, a, b, a, a]
+    assert len(builds) == 4
+    # copies made and dropped one after another often reuse one address
+    assert [_preferential_optimum(copy.copy(x)) for x in (first, other) * 4] == [a, b] * 4
 
 
 def test_order_preservation_holds_for_mg_outcome(reserve):

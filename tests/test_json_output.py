@@ -7,8 +7,10 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import classical_corpus_doc
-from reserves.cli import _indented, main
+from reserves.cli import _as_table, _indented, main
 from reserves.generator import random_instance_document
+from reserves.model import instance_from_document
+from reserves.rules import rr
 
 # strings that look like the item boundaries _indented rewrites
 TRICKY = st.sampled_from(["},\n    {", "],\n  [", "}, {", '"', '\\"', "\n", "\t", "é", "名前",
@@ -131,3 +133,51 @@ def test_every_cli_document_is_json_dumps_indented(tmp_path, capsys):
 
     assert min(outputs.values()) >= 30 and len(outputs) == 13, outputs
     assert failing_witnesses >= 100, failing_witnesses
+
+
+# agent names that a row format could misread: format directives, escapes,
+# non-ASCII text and the text between two rows
+HOSTILE_NAMES = ["%", "%s", "%d", "%(agent)s", "%%", '"', "\\", "\n", "\t", "é", "名前",
+                 "\U0001f600", "},\n    {"]
+
+
+def test_rr_trace_rows_with_hostile_agent_names(tmp_path, capsys):
+    """rr's trace is written a row at a time from one format; with names
+    like these the document is still ``json.dumps(indent=2)`` of itself, its
+    trace is the scan's pairs, and the table is ``_as_table`` of the parsed
+    document."""
+    path = tmp_path / "i.json"
+    for seed in range(12):
+        doc = random_instance_document(len(HOSTILE_NAMES), 1 + seed % 3, tie_prob=0.4 * (seed % 2),
+                                       seed=seed, unreserved=seed % 3)
+        names = HOSTILE_NAMES[seed:] + HOSTILE_NAMES[:seed]
+        if seed % 4 == 3:
+            names = [name + "a%sb" + name for name in names]
+        rename = dict(zip(doc["agents"], names))
+        doc["agents"] = names
+        doc["baseline"] = [rename[a] for a in doc["baseline"]]
+        for cat in doc["categories"]:
+            if "tiers" in cat:
+                cat["tiers"] = [[rename[a] for a in tier] for tier in cat["tiers"]]
+        path.write_text(json.dumps(doc, ensure_ascii=seed % 2 == 0))
+        assert main(["allocate", "--rule", "rr", "--instance", str(path)]) == 0
+        text = capsys.readouterr().out
+        out = json.loads(text)
+        assert text == json.dumps(out, indent=2) + "\n"
+        inst = instance_from_document(doc)
+        _, trace = rr(inst)
+        assert out["trace"] == [{"agent": inst.agent_names[i], "rejected": i in trace.rejected,
+                                 "ms_tested": size} for i, size in trace.tested]
+        assert len(out["trace"]) == len(names)
+        assert main(["allocate", "--rule", "rr", "--instance", str(path), "--format", "table"]) == 0
+        assert capsys.readouterr().out == _as_table(out) + "\n"
+
+
+def test_rr_trace_of_no_agents(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps({"agents": [], "baseline": [], "categories": []}))
+    assert main(["allocate", "--rule", "rr", "--instance", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert '\n  "trace": []\n}\n' in text and text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert main(["allocate", "--rule", "rr", "--instance", str(path), "--format", "table"]) == 0
+    assert capsys.readouterr().out.endswith("\ntrace: -\n")
