@@ -36,6 +36,15 @@ rows=$(grep -c '^ *ms_tested: ' "$work/big-rr.txt" || true)
 if [ -s "$work/big-table.err" ]; then
   cat "$work/big-table.err"; echo "the rr table wrote to stderr"; exit 1
 fi
+# an agent name holding a newline is escaped in the table, so it forges no row
+python -c "import json, sys; names = ['a', 'b\n    ms_tested: 9']
+json.dump({'agents': names, 'baseline': names, 'categories': [{'name': 'c', 'quota': 1,
+  'kind': 'preferential', 'tiers': [names], 'cutoff': 1}]}, open(sys.argv[1], 'w'))" \
+  "$work/newline.json"
+"${cli[@]}" allocate --rule rr --instance "$work/newline.json" --format table \
+  >"$work/newline.txt"
+rows=$(grep -c '^ *ms_tested: ' "$work/newline.txt" || true)
+[ "$rows" -eq 2 ] || { echo "the two-agent table has $rows ms_tested lines, expected 2"; exit 1; }
 # and at 100000 agents, where undoing a test replays only its writes (about 2 s)
 "${cli[@]}" gen --agents 100000 --categories 50 --max-quota 50 --eligibility-density 0.05 \
   --seed 77 --out "$work/huge-rr.json"
@@ -149,6 +158,10 @@ expect_2() {
 expect_2 allocate --rule rr --split 1,1 --instance "$work/i.json"
 expect_2 allocate --rule rr --instance "$work/deep.json"
 expect_2 allocate --rule rr --prefs "$work/i.json" --instance "$work/i.json"
+# verify prints its summary to stdout only: --out is a usage error and writes nothing
+rm -f "$work/verify.txt"
+expect_2 verify --count 1 --max-agents 3 --out "$work/verify.txt"
+[ ! -e "$work/verify.txt" ] || { echo "verify --out created $work/verify.txt"; exit 1; }
 "${cli[@]}" gen --agents 3 --categories 1 --seed 1 --out "$work/plain.json"
 echo '{}' > "$work/empty.json"
 expect_2 check --instance "$work/plain.json" --matching "$work/empty.json" --split 1,1

@@ -159,6 +159,15 @@ def report_doc(inst: Instance, report: axioms.AxiomReport) -> dict:
 
 _INDENT = "  "
 _STRICT_SCALARS = frozenset((str, int, float, bool, type(None)))
+# what the table writes for each character str.splitlines breaks at, each
+# other C0 control and DEL, as JSON escapes them, and for a backslash
+_TABLE_ESCAPES = {c: f"\\u{c:04x}" for c in (*range(0x20), 0x7f, 0x85, 0x2028, 0x2029)}
+_TABLE_ESCAPES.update(zip(map(ord, "\\\b\f\n\r\t"), ("\\\\", "\\b", "\\f", "\\n", "\\r", "\\t")))
+
+
+def _shown(name: str) -> str:
+    """A name as the table writes it: on one line, and unambiguous."""
+    return name.translate(_TABLE_ESCAPES)
 
 
 class _TraceRows:
@@ -195,7 +204,8 @@ class _TraceRows:
         item = indent + _INDENT
         row = item + "agent: %s\n" + item + "rejected: %s\n" + item + "ms_tested: %d"
         names, ms_total = self.names, self.ms_total
-        return "\n\n".join([row % (names[i], size == ms_total, size) for i, size in self.pairs])
+        return "\n\n".join([row % (_shown(names[i]), size == ms_total, size)
+                            for i, size in self.pairs])
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,17 +317,18 @@ def _as_table(payload, indent: str = "") -> str:
     if isinstance(payload, dict):
         for key, val in payload.items():
             if isinstance(val, (dict, list, _TraceRows)) and val:
-                lines.append(f"{indent}{key}:")
+                lines.append(f"{indent}{_shown(key)}:")
                 lines.append(_as_table(val, indent + "  "))
             else:
-                lines.append(f"{indent}{key}: {val if val or val == 0 else '-'}")
+                val = _shown(val) if type(val) is str else val
+                lines.append(f"{indent}{_shown(key)}: {val if val or val == 0 else '-'}")
     elif isinstance(payload, list):
         for item in payload:
             if isinstance(item, (dict, list)):
                 lines.append(_as_table(item, indent + "  ").rstrip())
                 lines.append("")
             else:
-                lines.append(f"{indent}- {item}")
+                lines.append(f"{indent}- {_shown(item) if type(item) is str else item}")
         while lines and not lines[-1]:
             lines.pop()
     else:
@@ -331,9 +342,11 @@ def _as_table(payload, indent: str = "") -> str:
 
 def _run_rule(rule: str, inst: Instance, doc: dict, args):
     """Returns (matching, evaluation instance, trace or None)."""
-    if args.split is not None and rule in RULES and rule not in SPLIT_RULES:
+    if rule not in RULES:
+        raise ValidationError(f"unknown rule {rule!r} (choose from {', '.join(RULES)})")
+    if args.split is not None and rule not in SPLIT_RULES:
         raise ValidationError(f"--split applies to srr and soft, not {rule!r}")
-    if args.prefs is not None and rule in RULES and rule != "da":
+    if args.prefs is not None and rule != "da":
         raise ValidationError(f"--prefs applies to da, not {rule!r}")
     if rule == "rr":
         matching, trace = rr(inst)
@@ -343,37 +356,33 @@ def _run_rule(rule: str, inst: Instance, doc: dict, args):
             raise PreconditionError("rule needs --split q1,q2 (or unreserved_split in the instance)")
         work = apply_split_flag(inst, args.split)
         return axioms.HARNESS_RULES[rule](work), work, None
-    if rule == "mg":
-        matching = minimum_guarantees(inst)
-        q = inst.unreserved_quota
-        return matching, inst.with_split(0, q) if inst.has_unreserved else inst, None
-    if rule == "oaa":
-        matching = over_and_above(inst)
-        q = inst.unreserved_quota
-        return matching, inst.with_split(q, 0) if inst.has_unreserved else inst, None
-    if rule == "da":
-        if not args.prefs:
-            raise PreconditionError("rule da needs --prefs <path>")
-        prefs_doc = decode_json(_read(args.prefs), "preferences file is not UTF-8: ",
-                                "invalid preferences JSON: ")
-        if isinstance(prefs_doc, dict) and "prefs" in prefs_doc:
-            prefs_doc = prefs_doc["prefs"]
-        if not isinstance(prefs_doc, dict):
-            raise ParseError("preferences document must be an object with a 'prefs' map")
-        agent_ids = {nm: i for i, nm in enumerate(inst.agent_names)}
-        cat_ids = category_id_by_name(inst)
-        prefs = {}
-        for agent, cats in prefs_doc.items():
-            if agent not in agent_ids:
-                raise ValidationError(f"unknown agent {agent!r} in preferences")
-            if not isinstance(cats, list):
-                raise ParseError(f"category list for agent {agent!r} must be a JSON array")
-            try:
-                prefs[agent_ids[agent]] = [cat_ids[c] for c in cats]
-            except (KeyError, TypeError):
-                raise ValidationError(f"bad category list for agent {agent!r}") from None
-        return deferred_acceptance(inst, prefs), inst, None
-    raise ValidationError(f"unknown rule {args.rule!r} (choose from {', '.join(RULES)})")
+    if rule in ("mg", "oaa"):
+        # srr at the split (0, q) or (q, 0), derived once: the rule runs on it as is
+        if inst.has_unreserved:
+            q = inst.unreserved_quota
+            inst = inst.with_split(*((0, q) if rule == "mg" else (q, 0)))
+        return (minimum_guarantees if rule == "mg" else over_and_above)(inst), inst, None
+    if not args.prefs:
+        raise PreconditionError("rule da needs --prefs <path>")
+    prefs_doc = decode_json(_read(args.prefs), "preferences file is not UTF-8: ",
+                            "invalid preferences JSON: ")
+    if isinstance(prefs_doc, dict) and "prefs" in prefs_doc:
+        prefs_doc = prefs_doc["prefs"]
+    if not isinstance(prefs_doc, dict):
+        raise ParseError("preferences document must be an object with a 'prefs' map")
+    agent_ids = {nm: i for i, nm in enumerate(inst.agent_names)}
+    cat_ids = category_id_by_name(inst)
+    prefs = {}
+    for agent, cats in prefs_doc.items():
+        if agent not in agent_ids:
+            raise ValidationError(f"unknown agent {agent!r} in preferences")
+        if not isinstance(cats, list):
+            raise ParseError(f"category list for agent {agent!r} must be a JSON array")
+        try:
+            prefs[agent_ids[agent]] = [cat_ids[c] for c in cats]
+        except (KeyError, TypeError):
+            raise ValidationError(f"bad category list for agent {agent!r}") from None
+    return deferred_acceptance(inst, prefs), inst, None
 
 
 def cmd_allocate(args) -> int:
@@ -466,12 +475,16 @@ def cmd_check(args) -> int:
     return EXIT_OK if all(r["holds"] for r in reports) else EXIT_AXIOM_FAIL
 
 
-def cmd_gen(args) -> int:
-    doc = random_instance_document(
-        args.agents, args.categories, max_quota=args.max_quota,
+def _generated(args, agents: int, seed: int) -> dict:
+    """The document ``_add_generator``'s options give for ``agents`` and ``seed``."""
+    return random_instance_document(
+        agents, args.categories, max_quota=args.max_quota,
         eligibility_density=args.eligibility_density, tie_prob=args.tie_prob,
-        seed=args.seed, unreserved=args.unreserved)
-    _emit(args, doc)
+        seed=seed, unreserved=args.unreserved)
+
+
+def cmd_gen(args) -> int:
+    _emit(args, _generated(args, args.agents, args.seed))
     return EXIT_OK
 
 
@@ -484,11 +497,7 @@ def cmd_verify(args) -> int:
     # (rule, axiom) -> [instances failing it, the first one, its message, its witness]
     failures: dict[tuple[str, str], list] = {}
     for idx in range(args.count):
-        doc = random_instance_document(
-            args.max_agents, args.categories, max_quota=args.max_quota,
-            eligibility_density=args.eligibility_density, tie_prob=args.tie_prob,
-            seed=args.seed + idx, unreserved=args.unreserved)
-        inst = instance_from_document(doc)
+        inst = instance_from_document(_generated(args, args.max_agents, args.seed + idx))
         problems = []  # (rule, axiom, message, witness)
         try:
             rep = oracle.verify_characterization(inst)
@@ -501,7 +510,7 @@ def cmd_verify(args) -> int:
             skipped += 1
 
         runs = [("rr", inst, VERIFY_RR_AXIOMS)]
-        if inst.has_unreserved:
+        if inst.has_unreserved:  # at the generator's split (0, q): no copy
             runs.append(("srr", inst.with_split(0, inst.unreserved_quota), VERIFY_SRR_AXIOMS))
         for rule, work, names in runs:
             matching = axioms.HARNESS_RULES[rule](work)
@@ -535,6 +544,15 @@ def cmd_verify(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", help="write output to a file instead of stdout")
+
+
+def _add_generator(p: argparse.ArgumentParser) -> None:
+    """The options gen and verify build their documents from, but --categories."""
+    p.add_argument("--max-quota", type=int, default=2)
+    p.add_argument("--eligibility-density", type=float, default=0.5)
+    p.add_argument("--tie-prob", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--unreserved", type=int, default=0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -573,11 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a seeded random instance")
     p.add_argument("--agents", type=int, required=True)
     p.add_argument("--categories", type=int, required=True)
-    p.add_argument("--max-quota", type=int, default=2)
-    p.add_argument("--eligibility-density", type=float, default=0.5)
-    p.add_argument("--tie-prob", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--unreserved", type=int, default=0)
+    _add_generator(p)
     _add_common(p)
     p.set_defaults(fn=cmd_gen)
 
@@ -585,13 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--max-agents", type=int, default=5)
     p.add_argument("--categories", type=int, default=2)
-    p.add_argument("--max-quota", type=int, default=2)
-    p.add_argument("--eligibility-density", type=float, default=0.5)
-    p.add_argument("--tie-prob", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--unreserved", type=int, default=0)
+    _add_generator(p)
     p.add_argument("--manipulation-budget", type=int, default=4)
-    _add_common(p)
     p.set_defaults(fn=cmd_verify)
     return top
 

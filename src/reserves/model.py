@@ -304,7 +304,10 @@ class Instance:
         return sum(self.split or ())
 
     def with_split(self, first: int, last: int) -> "Instance":
-        """Same instance with the unreserved quota repartitioned as (first, last)."""
+        """Same instance with the unreserved quota repartitioned as (first, last):
+        the instance itself when that is already its split."""
+        if (first, last) == self.split:
+            return self
         cf, cl = self.unreserved_first_id, self.unreserved_last_id
         if cf is None or cl is None:
             raise ValidationError("instance has no unreserved category to split")

@@ -12,9 +12,9 @@ from conftest import (EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC, SCAN_DOC, chain_
                       make_instance, reference_size)
 import reserves
 from reserves import axioms, oracle
-from reserves.cli import main, report_doc
+from reserves.cli import build_parser, main, report_doc
 from reserves.generator import random_instance, random_instance_document
-from reserves.model import Matching, enumerate_priority_decreases, serialize_instance
+from reserves.model import Instance, Matching, enumerate_priority_decreases, serialize_instance
 from reserves.rules import rr
 
 
@@ -25,8 +25,9 @@ def write(tmp_path, name, doc):
 
 
 def with_files(tmp_path, argv):
-    """argv with each dict written to a JSON file and replaced by its path."""
-    return [write(tmp_path, f"{k}.json", a) if isinstance(a, dict) else a
+    """argv with each document (anything but a string) written to a JSON file
+    and replaced by its path."""
+    return [a if isinstance(a, str) else write(tmp_path, f"{k}.json", a)
             for k, a in enumerate(argv)]
 
 
@@ -71,6 +72,25 @@ def test_allocate_mg_and_oaa(tmp_path, capsys):
     assert code == 0 and doc["assignment"] == {"1": "c", "2": "c_u"}
     code, doc = run(capsys, ["allocate", "--rule", "oaa", "--instance", inst])
     assert code == 0 and doc["assignment"] == {"1": "c_u", "4": "c"}
+
+
+def test_each_split_is_derived_once(tmp_path, capsys, monkeypatch):
+    # mg runs at the document's own split (0, q), so loading it builds the
+    # only instance; oaa derives (q, 0) once more. verify's srr run is at
+    # the generated split (0, q). Each built 3, 3 and 93 when the rules and
+    # the CLI derived the split each on their own.
+    built = []
+    post_init = Instance.__post_init__
+    monkeypatch.setattr(Instance, "__post_init__", lambda self: built.append(post_init(self)))
+    inst = write(tmp_path, "i.json", RESERVE_DOC)
+    for argv, count in ((["allocate", "--rule", "mg", "--instance", inst], 1),
+                        (["allocate", "--rule", "oaa", "--instance", inst], 2),
+                        (["verify", "--count", "20", "--max-agents", "6", "--categories", "2",
+                          "--unreserved", "1", "--tie-prob", "0.5", "--seed", "5"], 73)):
+        built.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(built) == count, argv
 
 
 def test_allocate_empty_instance(tmp_path, capsys):
@@ -366,6 +386,78 @@ def test_matching_document_names_the_first_defect(tmp_path, capsys, assignment, 
         f"error: {message}\n"
 
 
+def defective(first_category=(), **changes):
+    """RESERVE_DOC with the given keys of its first category and the given
+    top-level keys replaced."""
+    doc = json.loads(json.dumps(RESERVE_DOC))
+    doc["categories"][0].update(first_category)
+    doc.update(changes)
+    return doc
+
+
+def allocate_argv(doc, *flags, rule="rr"):
+    return ["allocate", "--rule", rule, "--instance", doc, *flags]
+
+
+def check_argv(*flags):
+    return ["check", "--instance", RESERVE_DOC, *flags]
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    # instance documents with one defect each, found by model.py
+    (allocate_argv({"agents": ["a", "a"], "baseline": ["a", "a"], "categories": []}), 2,
+     "error: duplicate agent names"),
+    (allocate_argv(defective({"quota": -1})), 2,
+     "error: negative quota for category 'c'"),
+    (allocate_argv([]), 2, "error: instance document must be a JSON object"),
+    (allocate_argv(defective(agents=["1", "2", "3", ""])), 2,
+     "error: agent names must be non-empty strings"),
+    (allocate_argv(defective(categories=[1])), 2, "error: each category must be a JSON object"),
+    (allocate_argv(defective(categories=[RESERVE_DOC["categories"][1],
+                                         {"name": "v", "quota": 1, "kind": "unreserved"}])), 2,
+     "error: more than one unreserved category"),
+    (allocate_argv(defective(unreserved_split=[0, 1])), 2,
+     "error: unreserved_split must be an object"),
+    (allocate_argv(defective(unreserved_split={"first": 1, "last": 1})), 2,
+     "error: unreserved_split (1, 1) must partition quota 1"),
+    (allocate_argv(defective({"kind": "vip"})), 2, "error: unknown category kind 'vip'"),
+    (allocate_argv(dict(RUNNING_DOC, unreserved_split={"first": 0, "last": 0})), 2,
+     "error: unreserved_split given but no unreserved category"),
+    # command lines and the documents they name, checked by cli.py
+    (allocate_argv("MISSING"), 2, "error: cannot read "),
+    (allocate_argv(RESERVE_DOC, "--split", "1", rule="srr"), 2,
+     "error: --split must be 'q1,q2', got '1'"),
+    (check_argv("--matching", []), 2,
+     "error: matching document must be an object with an 'assignment' map"),
+    (allocate_argv(RESERVE_DOC, "--prefs", [], rule="da"), 2,
+     "error: preferences document must be an object with a 'prefs' map"),
+    (allocate_argv(RESERVE_DOC, "--prefs", {"prefs": {"zz": []}}, rule="da"), 2,
+     "error: unknown agent 'zz' in preferences"),
+    (check_argv("--matching", {}, "--axioms", "strategyproofness"), 2,
+     "error: axiom 'strategyproofness' needs --rule, not a fixed matching"),
+    (check_argv(), 2, "error: give exactly one of --matching or --rule"),
+    (check_argv("--rule", "rr", "--axioms", "zz"), 2, "error: unknown axiom 'zz'"),
+    (allocate_argv(RESERVE_DOC, "--prefs", {"prefs": {"1": ["c", "c"]}}, rule="da"), 3,
+     "precondition error: agent '1' lists a category twice"),
+], ids=["duplicate_agents", "negative_quota", "not_an_object", "empty_agent_name",
+        "category_not_an_object", "two_unreserved", "split_not_an_object",
+        "split_not_a_partition", "unknown_kind", "split_without_unreserved",
+        "unreadable_instance", "split_flag_one_number", "matching_not_an_object",
+        "prefs_not_an_object", "prefs_unknown_agent", "harness_axiom_on_a_matching",
+        "neither_matching_nor_rule", "unknown_axiom", "da_category_twice"])
+def test_each_input_defect_exits_with_its_one_line(tmp_path, capsys, argv, code, line):
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a
+            for a in with_files(tmp_path, argv)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [err] = captured.err.splitlines()
+    if argv[-1].endswith("missing.json"):  # the OS's reason follows the path
+        assert err.startswith(line + argv[-1] + ": ")
+    else:
+        assert err == line
+
+
 @pytest.mark.parametrize("rule", ["rr", "mg", "oaa", "da"])
 def test_split_flag_is_an_input_error_for_other_rules(tmp_path, capsys, rule):
     # mg and oaa fix their own split; rr and da have none
@@ -559,6 +651,22 @@ def test_verify_rejects_negative_count(capsys):
     assert "--count" in input_error(capsys, ["verify", "--count", "-3"])
 
 
+def test_verify_takes_no_output_options(tmp_path, capsys):
+    # verify prints its summary to stdout: --format and --out are usage errors
+    target = tmp_path / "verify.txt"
+    for flags in (["--out", str(target)], ["--format", "table"]):
+        assert "unrecognized arguments" in input_error(
+            capsys, ["verify", "--count", "1", "--max-agents", "3", *flags])
+    assert not target.exists()
+    commands = build_parser()._subparsers._group_actions[0].choices
+    options = {name: {s for a in commands[name]._actions for s in a.option_strings
+                      if s not in ("-h", "--help")} for name in ("gen", "verify")}
+    shared = {"--max-quota", "--eligibility-density", "--tie-prob", "--seed", "--unreserved"}
+    assert options["verify"] == shared | {"--count", "--max-agents", "--categories",
+                                          "--manipulation-budget"}
+    assert options["gen"] == shared | {"--agents", "--categories", "--format", "--out"}
+
+
 def test_check_rejects_empty_axiom_list(tmp_path, capsys):
     inst = write(tmp_path, "i.json", RUNNING_DOC)
     for axioms in (",", " , "):
@@ -719,6 +827,28 @@ def test_table_format_of_rr_pinned_on_a_seeded_corpus(tmp_path, capsys):
                      "--format", "table"]) == 0
         h.update(capsys.readouterr().out.encode() + b"\0")
     assert h.hexdigest() == "740bc54b8ef359118935ea18f43888ce5ab84689dd8c7a1dc442c653969c69d6"
+
+
+# each character str.splitlines breaks at, the other C0 controls, DEL, and
+# the backslash, which the table writes escaped
+TABLE_ESCAPED = [*map(chr, range(0x20)), "\x7f", "\x85", "\u2028", "\u2029", "\\"]
+
+
+def test_table_escapes_names_that_would_forge_lines(tmp_path, capsys):
+    names = ["a", "b\n    ms_tested: 9"] + [f"x{k}{ch}    ms_tested: 9"
+                                           for k, ch in enumerate(TABLE_ESCAPED)]
+    doc = {"agents": names, "baseline": names,
+           "categories": [{"name": "c\n  size: 99", "quota": 1, "kind": "preferential",
+                           "tiers": [names], "cutoff": 1}]}
+    inst = write(tmp_path, "i.json", doc)
+    assert main(["allocate", "--rule", "rr", "--instance", inst, "--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.lstrip().startswith("ms_tested:") for line in lines) == len(names)
+    assert sum(line.lstrip().startswith("size:") for line in lines) == 1
+    # the escapes are JSON's, so the trace's agent lines decode back to the names
+    shown = [line.split("agent: ", 1)[1] for line in lines if line.startswith("    agent: ")]
+    assert sorted(s.encode("ascii").decode("unicode_escape") for s in shown) == sorted(names)
+    assert "  c\\n  size: 99:" in lines and "  - b\\n    ms_tested: 9" in lines
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -364,6 +364,9 @@ def test_with_split(reserve, running):
     assert shifted.categories[shifted.unreserved_last_id].quota == 0
     with pytest.raises(ValidationError):
         reserve.with_split(2, 1)
+    # at its own split an instance is returned as is, not rebuilt
+    assert reserve.with_split(*reserve.split) is reserve
+    assert shifted.with_split(1, 0) is shifted
     with pytest.raises(ValidationError):  # a lone unreserved pool has no split
         Instance(reserve.agent_names, reserve.categories[:2], reserve.baseline)
 
