@@ -150,11 +150,22 @@ if grep -q Traceback "$work/harness.err"; then
 fi
 # input errors exit 2 from the process, not 1 from an uncaught exception
 python -c "print('[' * 200000)" > "$work/deep.json"
+# each with exactly one line on stderr and no traceback
 expect_2() {
   status=0
-  "${cli[@]}" "$@" || status=$?
+  "${cli[@]}" "$@" 2>"$work/expect.err" || status=$?
   [ "$status" -eq 2 ] || { echo "reserves $* exited $status, expected 2"; exit 1; }
+  lines=$(wc -l <"$work/expect.err")
+  if [ "$lines" -ne 1 ] || grep -q Traceback "$work/expect.err"; then
+    cat "$work/expect.err"; echo "reserves $* wrote $lines stderr lines, expected 1"; exit 1
+  fi
 }
+# a command's options are parsed by its own parser alone; a missing or
+# unknown command falls back to the top parser, and a command's help exits 0
+expect_2
+expect_2 nosuch
+expect_2 allocate --bogus
+"${cli[@]}" allocate --help >/dev/null
 expect_2 allocate --rule rr --split 1,1 --instance "$work/i.json"
 expect_2 allocate --rule rr --instance "$work/deep.json"
 expect_2 allocate --rule rr --prefs "$work/i.json" --instance "$work/i.json"

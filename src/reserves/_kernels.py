@@ -10,21 +10,26 @@ vertices are dense category columns. ``epos[k]`` is the priority position of
 the edge's agent in the edge's category; an edge is live iff its agent is
 alive and ``epos[k] <= thr[c]``. ``THR_INF`` means "no pruning". Matched
 agents for a category ``c`` occupy ``slots[slot_base[c] : slot_base[c] +
-used[c]]``. The column side is a second CSR over the same edges:
-``cagents[cptr[c] : cptr[c + 1]]`` are column ``c``'s agents, sorted by their
-positions ``cpos``, so the live ones are a prefix up to ``thr[c]``.
+used[c]]``, and ``spos``, parallel to ``slots``, holds each holder's
+position in her category: every kernel that writes a slot writes its
+position with it, read off the edge that seats the agent. The column side is
+a second CSR over the same edges: ``cagents[cptr[c] : cptr[c + 1]]`` are
+column ``c``'s agents, sorted by their positions ``cpos``, so the live ones
+are a prefix up to ``thr[c]``.
 
 Two searches find augmenting paths. The forward one (``augment``) starts at
 an unmatched agent and builds matchings from scratch. The backward one
 (``fill``) starts at a column with spare capacity and re-augments after a
-tentative removal. A removal frees capacity in a few columns, and a failed
-backward search explores only the columns from which some spare column can
-be reached. Both rely on Kuhn's lemma ("The Hungarian method for the
-assignment problem"): if no augmenting path starts at a vertex, none does
-after augmenting along other paths. It holds for columns and agents alike,
-so one pass over either side reaches maximum cardinality. Both are loops
-over an explicit stack rather than recursive calls, so a path may be as
-long as the columns are many, whatever Python's recursion limit.
+tentative removal that kills a pair; a removal that kills none leaves the
+matching maximum, and the scan commits it without a pass. A removal frees
+capacity in a few columns, and a failed backward search explores only the
+columns from which some spare column can be reached. Both rely on Kuhn's
+lemma ("The Hungarian method for the assignment problem"): if no augmenting
+path starts at a vertex, none does after augmenting along other paths. It
+holds for columns and agents alike, so one pass over either side reaches
+maximum cardinality. Both are loops over an explicit stack rather than
+recursive calls, so a path may be as long as the columns are many, whatever
+Python's recursion limit.
 
 Every pass also stops at the capacity bound. No matching holds more pairs
 than its columns hold units, so once the units are all placed (or, in
@@ -39,7 +44,7 @@ from __future__ import annotations
 THR_INF = 2**31
 
 
-def greedy(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots):
+def greedy(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots, spos):
     """Seed pass: first live category with spare capacity, in scan order,
     until every unit is placed."""
     got = 0
@@ -51,8 +56,11 @@ def greedy(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, s
             continue
         for k in range(indptr[u], indptr[u + 1]):
             c = cats[k]
-            if epos[k] <= thr[c] and used[c] < cap[c]:
-                slots[slot_base[c] + used[c]] = u
+            p = epos[k]
+            if p <= thr[c] and used[c] < cap[c]:
+                s = slot_base[c] + used[c]
+                slots[s] = u
+                spos[s] = p
                 used[c] += 1
                 match[u] = c
                 got += 1
@@ -60,12 +68,13 @@ def greedy(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, s
     return got
 
 
-def augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visited):
+def augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, spos, match, visited):
     """Try to match ``u``, rerouting already-matched agents along an
     alternating path. Each category is entered at most once per search, a
     full one through its holders in slot order. The stack keeps one frame
     per hop, (agent, next edge, column, holder's slot): the agent takes
-    that slot once a path is found."""
+    that slot, at the position of the edge before the next one, once a
+    path is found."""
     stack = []
     k = indptr[u]
     while True:
@@ -75,11 +84,14 @@ def augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visi
                 continue
             visited[c] = True
             if used[c] < cap[c]:
-                slots[slot_base[c] + used[c]] = u
+                s = slot_base[c] + used[c]
+                slots[s] = u
+                spos[s] = epos[k]
                 used[c] += 1
                 match[u] = c
-                for u, _, c, s in stack:
+                for u, k, c, s in stack:
                     slots[s] = u
+                    spos[s] = epos[k - 1]
                     match[u] = c
                 return True
             if used[c]:
@@ -100,7 +112,8 @@ def augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visi
                 k = indptr[u]
 
 
-def augment_pass(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots):
+def augment_pass(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots,
+                 spos):
     """One augmentation attempt per unmatched agent, in scan order. Starting
     from any valid partial matching, this reaches maximum cardinality; it
     stops once every unit is placed.
@@ -118,57 +131,63 @@ def augment_pass(order, alive, match, indptr, cats, epos, thr, cap, used, slot_b
             break
         if not alive[u] or match[u] >= 0:
             continue
-        if augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visited):
+        if augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, spos, match,
+                   visited):
             got += 1
             visited = [False] * n_cols
     return got
 
 
-def fill(c, s, alive, match, cptr, cagents, cpos, thr, used, slot_base, slots, visited, log):
+def fill(c, s, alive, match, cptr, cagents, cpos, thr, used, slot_base, slots, spos, visited,
+         log):
     """Put a live agent into slot ``s`` of column ``c`` along an alternating
     path that ends at an unmatched live agent, searching backwards: ``c``'s
     agents in priority order, up to the first position above ``thr[c]``. A
     matched agent's column is entered at most once per search; the caller
-    marks ``c`` itself. Each write to ``slots`` and ``match`` on the path is
-    appended to ``log`` as (list, index, old value) before it is made, the
-    hop nearest the unmatched agent first. The stack keeps one frame per
-    column above the current one: (column, slot, next edge)."""
+    marks ``c`` itself. Each write to ``slots``, ``spos`` and ``match`` on
+    the path is appended to ``log`` as (list, index, old value) before it is
+    made, the hop nearest the unmatched agent first. The stack keeps one
+    frame per column above the current one: (column, slot, next edge)."""
     stack = []
     k = cptr[c]
     while True:
         t = thr[c]
         end = cptr[c + 1]
+        # the hottest loop: kept apart from the path's writes, so that its
+        # jumps are short (one byte of argument in the bytecode)
         while k < end and cpos[k] <= t:
             a = cagents[k]
             k += 1
-            if not alive[a]:
-                continue
-            m = match[a]
-            if m < 0:
-                # shift every agent on the path into the column above it
-                while True:
-                    log.append((slots, s, slots[s]))
-                    log.append((match, a, match[a]))
-                    slots[s] = a
-                    match[a] = c
-                    if not stack:
-                        return True
-                    c, s, k = stack.pop()
-                    a = cagents[k - 1]
-            if visited[m]:
-                continue
-            visited[m] = True
-            stack.append((c, s, k))
-            c, s, k = m, slots.index(a, slot_base[m], slot_base[m] + used[m]), cptr[m]
-            break
+            if alive[a]:
+                m = match[a]
+                if m < 0 or not visited[m]:
+                    break
         else:
             # c's search failed: resume the column above it
             if not stack:
                 return False
             c, s, k = stack.pop()
+            continue
+        if m < 0:
+            # shift every agent on the path into the column above it
+            while True:
+                log.append((slots, s, slots[s]))
+                log.append((spos, s, spos[s]))
+                log.append((match, a, match[a]))
+                slots[s] = a
+                spos[s] = cpos[k - 1]
+                match[a] = c
+                if not stack:
+                    return True
+                c, s, k = stack.pop()
+                a = cagents[k - 1]
+        visited[m] = True
+        stack.append((c, s, k))
+        c, s, k = m, slots.index(a, slot_base[m], slot_base[m] + used[m]), cptr[m]
 
 
-def fill_pass(alive, match, cptr, cagents, cpos, thr, cap, used, slot_base, slots, need, log):
+def fill_pass(alive, match, cptr, cagents, cpos, thr, cap, used, slot_base, slots, spos, need,
+              log):
     """One pass over the columns with spare capacity, filling each until it
     is full or its search fails, and stopping after ``need`` augmentations.
     Starting from any valid partial matching, with ``need`` at least the
@@ -178,8 +197,8 @@ def fill_pass(alive, match, cptr, cagents, cpos, thr, cap, used, slot_base, slot
     lemma). Dead marks follow ``augment_pass``: a column entered by a failed
     search cannot reach an unmatched agent until the matching changes, so the
     marks are kept across failures and cleared after a success. Every write
-    to ``used``, ``slots`` and ``match`` is appended to ``log`` as (list,
-    index, old value), so replaying it newest first undoes the pass."""
+    to ``used``, ``slots``, ``spos`` and ``match`` is appended to ``log`` as
+    (list, index, old value), so replaying it newest first undoes the pass."""
     got = 0
     n_cols = len(cap)
     visited = [False] * n_cols
@@ -189,7 +208,7 @@ def fill_pass(alive, match, cptr, cagents, cpos, thr, cap, used, slot_base, slot
         while got < need and used[c] < cap[c] and not visited[c]:
             visited[c] = True
             if not fill(c, slot_base[c] + used[c], alive, match, cptr, cagents, cpos, thr,
-                        used, slot_base, slots, visited, log):
+                        used, slot_base, slots, spos, visited, log):
                 break
             log.append((used, c, used[c]))
             used[c] += 1

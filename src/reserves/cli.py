@@ -564,6 +564,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser, and each command's own parser by name."""
     top = _Parser(prog="reserves", description="priority-respecting rationing rules")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -602,19 +607,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator(p)
     p.add_argument("--manipulation-budget", type=int, default=4)
     p.set_defaults(fn=cmd_verify)
-    return top
+    return top, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first call; parse_args leaves
-    it unchanged, so every call to main can share it."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The process's parsers, built on the first call; parse_args leaves
+    them unchanged, so every call to main can share them."""
+    return _build_parsers()
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv`` once: with its command's own parser when ``argv[0]``
+    names one, else with the top parser, which reports a missing or unknown
+    command and answers ``-h``. Both raise the same messages, since
+    ``_Parser.error`` leaves out the program name."""
+    top, commands = _parsers()
+    own = commands.get(argv[0]) if argv else None
+    return own.parse_args(argv[1:]) if own else top.parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
         return code

@@ -9,13 +9,14 @@ eligible tiers. ``remove`` drops one agent and re-augments, logging every
 list write it makes, kernels' path writes included, as (list, index, old
 value) to a log its caller holds; ``revert`` replays such a log newest
 first. Nothing n-long is copied. ``scan`` is the one scan loop, behind the
-rejection scan and srr's early grants, and ``fresh_matching`` gives the
-deterministic maximum matching of the graph the engine holds.
+rejection scan and srr's early grants; a step of it that kills no pair
+writes only the agent's alive flag and the thresholds it lowers, and skips
+``remove``. ``fresh_matching`` gives the deterministic maximum matching of
+the graph the engine holds.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate, chain, repeat
 from operator import sub
 from typing import Iterable, Sequence
@@ -33,11 +34,13 @@ class _RejectionEngine:
     are one slice of its flat ids, and a tied ranking's tiers are laid out
     agent by agent, a tier of two or more sorted by id. The rows, for
     forward searches, are transposed from the columns by counting sort, so
-    each row lists its columns in increasing order, and an agent's position
-    in a column is found by bisecting her row. The engine holds the two
-    CSRs, the thresholds and the matching: O(agents + edges + units). Every
-    agent starts alive. An edge is live while its agent is alive and its
-    position is at most its column's threshold, which pruning lowers.
+    each row lists its columns in increasing order. Column ``j``'s holders
+    sit in ``slots[slot_base[j]:slot_base[j] + used[j]]``, and ``spos``,
+    parallel to ``slots``, holds each holder's position in her column. The
+    engine holds the two CSRs, the thresholds and the matching: O(agents +
+    edges + units). Every agent starts alive. An edge is live while its
+    agent is alive and its position is at most its column's threshold,
+    which pruning lowers.
 
     A caller commits a removal by dropping its log, or, inside a removal it
     may still revert, by appending the log to that removal's log; it undoes
@@ -84,21 +87,23 @@ class _RejectionEngine:
         self.thr = [_kernels.THR_INF] * n_cols
         self.alive = [True] * n
         self.order = inst.baseline  # the order matchings are solved in
-        self.match, self.used, self.slots = self._solve()
+        self.match, self.used, self.slots, self.spos = self._solve()
         self._size = sum(self.used)
         self._fill_args = (self.cptr, self.cagents, self.cpos, self.thr, self.cap, self.used,
-                           self.slot_base, self.slots)
+                           self.slot_base, self.slots, self.spos)
 
-    def _solve(self) -> tuple[list[int], list[int], list[int]]:
-        """A maximum matching of the live graph from scratch: (match, used, slots)."""
+    def _solve(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """A maximum matching of the live graph from scratch: (match, used,
+        slots, spos)."""
         match = [-1] * len(self.alive)
         used = [0] * len(self.cap)
         slots = [-1] * sum(self.cap)
+        spos = [-1] * len(slots)
         args = (self.indptr, self.cats, self.epos, self.thr, self.cap, used,
-                self.slot_base, slots)
+                self.slot_base, slots, spos)
         _kernels.greedy(self.order, self.alive, match, *args)
         _kernels.augment_pass(self.order, self.alive, match, *args)
-        return match, used, slots
+        return match, used, slots, spos
 
     def size(self) -> int:
         return self._size
@@ -114,23 +119,45 @@ class _RejectionEngine:
         The rejection scan is the scan up the baseline with pruning; srr's
         early grants are the scan down it without pruning, up to the number
         of early units. A kept removal commits by dropping its log, and a
-        reverted one replays it; a step whose agent is unmatched and lowers
-        no threshold writes only her alive flag."""
-        target, alive = self._size, self.alive
+        reverted one replays it. A step kills no pair when its agent holds
+        no unit and, with pruning, no column whose threshold it lowers has a
+        holder below the new threshold. Such a step keeps the matching, so
+        its size is the size on entry: it writes only her alive flag and
+        the lowered thresholds, with no log, no ``remove`` and no
+        ``fill_pass``."""
+        target, alive, match, thr = self._size, self.alive, self.match, self.thr
+        indptr, cats, epos = self.indptr, self.cats, self.epos
+        used, slot_base, spos = self.used, self.slot_base, self.spos
         log: list = []
         tested = []
         kept = 0
         for i in order:
             if kept == limit:
                 break
-            if alive[i]:
-                size = self.remove(i, prune, log)
-                if size == target:
-                    kept += 1
+            if not alive[i]:
+                continue
+            if match[i] < 0:
+                edges = range(indptr[i], indptr[i + 1]) if prune else ()
+                for k in edges:
+                    c, p = cats[k], epos[k]
+                    if p < thr[c] and used[c] and max(
+                            spos[slot_base[c]:slot_base[c] + used[c]]) > p:
+                        break
                 else:
-                    self.revert(log, target)
-                log.clear()
-                tested.append((i, size))
+                    alive[i] = False
+                    for k in edges:
+                        if epos[k] < thr[cats[k]]:
+                            thr[cats[k]] = epos[k]
+                    kept += 1
+                    tested.append((i, target))
+                    continue
+            size = self.remove(i, prune, log)
+            if size == target:
+                kept += 1
+            else:
+                self.revert(log, target)
+            log.clear()
+            tested.append((i, size))
         return tested
 
     def remove(self, i: int, prune: bool, log: list) -> int:
@@ -138,9 +165,9 @@ class _RejectionEngine:
         write is logged to ``log`` as (list, index, old value).
 
         Only the pairs that die are unmatched: ``i``'s own and, in a column
-        whose threshold pruning lowers, those of agents now ranked below it.
-        A holder's position in her column is read off her row, whose columns
-        are in increasing order, by bisection.
+        whose threshold pruning lowers, those of agents now ranked below it,
+        whose positions ``spos`` holds. Compaction moves each survivor's
+        position with her.
         The new graph is a subgraph of the old one, so its maximum is at most
         the current size, and re-augmentation stops once the lost pairs are
         made up.
@@ -154,7 +181,7 @@ class _RejectionEngine:
         engine's own matching can differ from ``fresh_matching``; only the
         size leaves it, and a maximum size is unique."""
         match, thr, used, slots, alive = self.match, self.thr, self.used, self.slots, self.alive
-        indptr, cats, epos = self.indptr, self.cats, self.epos
+        indptr, cats, epos, spos = self.indptr, self.cats, self.epos, self.spos
         alive[i] = False
         log.append((alive, i, True))
         hit = set()  # columns that may hold a dead pair
@@ -174,10 +201,12 @@ class _RejectionEngine:
             out = base
             for s in range(base, end):
                 a = slots[s]
-                if alive[a] and epos[bisect_left(cats, c, indptr[a], indptr[a + 1])] <= t:
+                if alive[a] and spos[s] <= t:
                     if out < s:
                         log.append((slots, out, slots[out]))
+                        log.append((spos, out, spos[out]))
                         slots[out] = a
+                        spos[out] = spos[s]
                     out += 1
                 else:
                     log.append((match, a, c))

@@ -278,11 +278,11 @@ class Instance:
                 return c
         return None
 
-    @property
+    @cached_property
     def unreserved_first_id(self) -> int | None:
         return self._unreserved_id(Kind.UNRESERVED_FIRST)
 
-    @property
+    @cached_property
     def unreserved_last_id(self) -> int | None:
         return self._unreserved_id(Kind.UNRESERVED_LAST)
 

@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ import reserves
 from reserves import axioms, oracle
 from reserves.cli import build_parser, main, report_doc
 from reserves.generator import random_instance, random_instance_document
-from reserves.model import Instance, Matching, enumerate_priority_decreases, serialize_instance
+from reserves.model import (Instance, Matching, ParseError, enumerate_priority_decreases,
+                            serialize_instance)
 from reserves.rules import rr
 
 
@@ -345,6 +348,52 @@ def input_error(capsys, argv):
 ])
 def test_usage_errors_are_one_line(capsys, argv):
     input_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nosuch"], ["--format", "json", "allocate"], ["allocate"], ["allocate", "--bogus"],
+    ["allocate", "--rule", "rr", "--instance", "i.json", "extra"],
+    ["allocate", "--", "--rule", "rr"], ["check", "--instance", "i.json", "--axioms"],
+    ["check", "--instance", "i.json", "--manipulation-budget", "x"],
+    ["gen", "--agents", "1"], ["gen", "--agents", "1", "--categories", "1", "--seed", "1.5"],
+    ["verify", "--count", "1", "--out", "x.txt"], ["verify", "--count"],
+])
+def test_a_command_parser_reports_what_the_top_parser_reports(capsys, argv):
+    # main parses a command's options with its own parser alone; the top
+    # parser, which also parses the command's name, raises the same message
+    with pytest.raises(ParseError) as top:
+        build_parser().parse_args(argv)
+    assert input_error(capsys, argv) == f"error: {top.value}\n"
+
+
+def test_main_parses_a_command_line_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a: calls.append(self.prog) or parse(self, *a))
+    inst = write(tmp_path, "i.json", RUNNING_DOC)
+    assert main(["allocate", "--rule", "rr", "--instance", inst]) == 0
+    assert calls == ["reserves allocate"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as done:
+        main(["allocate", "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: reserves allocate ")
+
+
+def test_a_wide_check_finds_the_unreserved_pair_once_per_instance(tmp_path, capsys,
+                                                                   monkeypatch):
+    # each read of the pair's ids scanned all 20,000 categories: 41 scans here
+    calls = Counter()
+    find = Instance._unreserved_id
+    monkeypatch.setattr(Instance, "_unreserved_id",
+                        lambda self, kind: calls.update([id(self)]) or find(self, kind))
+    doc = random_instance_document(2000, 20000, max_quota=1, eligibility_density=0.001,
+                                   seed=7, unreserved=3)
+    code, reports = run(capsys, with_files(tmp_path, [
+        "check", "--matching", {}, "--split", "1,2", "--instance", doc]))
+    assert code == 1 and {r["axiom"] for r in reports} >= {"max_size", "order_preservation"}
+    assert len(calls) == 2 and max(calls.values()) <= 2, calls
 
 
 @pytest.mark.parametrize("argv", [

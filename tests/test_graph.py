@@ -16,6 +16,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, p
                                  rule)
 
 from conftest import adj_edges, make_instance, reference_size, with_quotas
+from reserves import _kernels
 from reserves.generator import random_instance
 from reserves.graph import _RejectionEngine
 from reserves.model import enumerate_priority_decreases
@@ -29,7 +30,7 @@ def _engine(inst):
 
 def _state(engine):
     return ([list(x) for x in (engine.alive, engine.thr, engine.match, engine.used,
-                               engine.slots)], engine.size())
+                               engine.slots, engine.spos)], engine.size())
 
 
 def _eligible_edges(inst):
@@ -238,14 +239,16 @@ def test_matching_size_agrees_with_enumeration_oracle():
 # --- the rejection engine's re-augmentation after tentative removals ---------
 
 def _assert_consistent(engine):
-    """Every matched agent is alive, sits in its column's slots, and holds a
-    live edge; no column is over capacity."""
+    """Every matched agent is alive, sits in its column's slots at her
+    position in that column, and holds a live edge; no column is over
+    capacity."""
     for c, (base, used) in enumerate(zip(engine.slot_base, engine.used)):
         assert used <= engine.cap[c]
-        for a in engine.slots[base:base + used]:
+        for s in range(base, base + used):
+            a = engine.slots[s]
             assert engine.alive[a] and engine.match[a] == c
             k = engine.cats.index(c, engine.indptr[a], engine.indptr[a + 1])
-            assert engine.epos[k] <= engine.thr[c]
+            assert engine.spos[s] == engine.epos[k] <= engine.thr[c]
     assert sum(engine.used) == engine.size()
 
 
@@ -424,6 +427,66 @@ def test_engine_scan_sizes_equal_the_reference():
         _assert_consistent(engine)
     assert len(seen) == 5 and min(seen.values()) >= 30, seen
     assert min(stops.values()) >= 5, stops
+
+
+def _scan_through_remove(engine, order, prune, limit=None):
+    """``scan`` with every step made by ``remove``: a step that kills no pair
+    is logged, committed by dropping its log, and costs a ``remove`` call."""
+    target, log, tested, kept = engine.size(), [], [], 0
+    for i in order:
+        if kept == limit:
+            break
+        if engine.alive[i]:
+            size = engine.remove(i, prune, log)
+            if size == target:
+                kept += 1
+            else:
+                engine.revert(log, target)
+            log.clear()
+            tested.append((i, size))
+    return tested
+
+
+def test_scan_commits_steps_that_kill_no_pair_without_remove(monkeypatch):
+    """On rr-scarce-shaped and srr-pipeline-shaped inputs, ``scan`` tests
+    the same sizes and leaves the same engine as a scan whose every step goes
+    through ``remove``. It calls ``remove`` only for steps that kill a pair,
+    each of which re-augments, so it re-augments exactly as often and writes
+    fewer log entries."""
+    fills = []
+    fill_pass = _kernels.fill_pass
+    monkeypatch.setattr(_kernels, "fill_pass",
+                        lambda *args: fills.append(1) or fill_pass(*args))
+    for seed in range(16):
+        if seed % 2:
+            inst = random_instance(160, 20, max_quota=3, eligibility_density=0.5, seed=seed)
+            cat_ids, first = range(20), None
+        else:
+            inst = random_instance(300, 4, max_quota=10, eligibility_density=0.3, tie_prob=0.9,
+                                   unreserved=40, seed=seed).with_split(20, 20)
+            cat_ids, first = inst.preferential_ids, 20
+        runs = []
+        for scan in (_RejectionEngine.scan, _scan_through_remove):
+            engine = _RejectionEngine(inst, cat_ids)
+            counts = {"remove": 0, "log": 0}
+
+            def remove(i, prune, log, remove=engine.remove, counts=counts):
+                counts["remove"] += 1
+                before = len(log)
+                size = remove(i, prune, log)
+                counts["log"] += len(log) - before
+                return size
+
+            engine.remove = remove
+            fills.clear()
+            tested = scan(engine, inst.baseline, False, first) if first is not None else []
+            tested += scan(engine, reversed(inst.baseline), True)
+            _assert_consistent(engine)
+            runs.append((tested, _state(engine), len(fills), counts))
+        (tested, state, n_fills, counts), (ref_tested, ref_state, ref_fills, ref_counts) = runs
+        assert tested == ref_tested and state == ref_state, seed
+        assert counts["remove"] == n_fills == ref_fills < ref_counts["remove"] == len(tested), seed
+        assert counts["log"] < ref_counts["log"], seed
 
 
 class EngineMachine(RuleBasedStateMachine):

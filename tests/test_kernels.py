@@ -9,7 +9,8 @@ from reserves.generator import random_instance
 from reserves.graph import _RejectionEngine
 
 
-def _greedy_unbounded(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots):
+def _greedy_unbounded(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base, slots,
+                      spos):
     """``_kernels.greedy`` as it was before the stop: every agent is visited."""
     got = 0
     for u in order:
@@ -19,6 +20,7 @@ def _greedy_unbounded(order, alive, match, indptr, cats, epos, thr, cap, used, s
             c = cats[k]
             if epos[k] <= thr[c] and used[c] < cap[c]:
                 slots[slot_base[c] + used[c]] = u
+                spos[slot_base[c] + used[c]] = epos[k]
                 used[c] += 1
                 match[u] = c
                 got += 1
@@ -27,7 +29,7 @@ def _greedy_unbounded(order, alive, match, indptr, cats, epos, thr, cap, used, s
 
 
 def _augment_pass_unbounded(order, alive, match, indptr, cats, epos, thr, cap, used, slot_base,
-                            slots):
+                            slots, spos):
     """``_kernels.augment_pass`` as it was before the stop: one search per
     unmatched agent, even once every unit is placed."""
     got = 0
@@ -36,7 +38,7 @@ def _augment_pass_unbounded(order, alive, match, indptr, cats, epos, thr, cap, u
     for u in order:
         if not alive[u] or match[u] >= 0:
             continue
-        if _kernels.augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match,
+        if _kernels.augment(u, indptr, cats, epos, thr, cap, used, slot_base, slots, spos, match,
                             visited):
             got += 1
             visited = [False] * n_cols
@@ -47,11 +49,12 @@ def _solve_unbounded(engine):
     match = [-1] * len(engine.alive)
     used = [0] * len(engine.cap)
     slots = [-1] * sum(engine.cap)
+    spos = [-1] * len(slots)
     args = (engine.indptr, engine.cats, engine.epos, engine.thr, engine.cap, used,
-            engine.slot_base, slots)
+            engine.slot_base, slots, spos)
     _greedy_unbounded(engine.order, engine.alive, match, *args)
     _augment_pass_unbounded(engine.order, engine.alive, match, *args)
-    return match, used, slots
+    return match, used, slots, spos
 
 
 def _engine(inst):
@@ -86,7 +89,8 @@ def test_capacity_bound_stop_changes_no_matching():
     assert min(seen.values()) >= 50, seen
 
 
-def _augment_recursive(u, indptr, cats, epos, thr, cap, used, slot_base, slots, match, visited):
+def _augment_recursive(u, indptr, cats, epos, thr, cap, used, slot_base, slots, spos, match,
+                       visited):
     """``_kernels.augment`` as it was before its explicit stack: one call per
     agent on the path."""
     for k in range(indptr[u], indptr[u + 1]):
@@ -96,19 +100,21 @@ def _augment_recursive(u, indptr, cats, epos, thr, cap, used, slot_base, slots, 
         visited[c] = True
         if used[c] < cap[c]:
             slots[slot_base[c] + used[c]] = u
+            spos[slot_base[c] + used[c]] = epos[k]
             used[c] += 1
             match[u] = c
             return True
         for s in range(slot_base[c], slot_base[c] + used[c]):
             if _augment_recursive(slots[s], indptr, cats, epos, thr, cap, used, slot_base, slots,
-                                  match, visited):
+                                  spos, match, visited):
                 slots[s] = u
+                spos[s] = epos[k]
                 match[u] = c
                 return True
     return False
 
 
-def _fill_recursive(c, s, alive, match, cptr, cagents, cpos, thr, used, slot_base, slots,
+def _fill_recursive(c, s, alive, match, cptr, cagents, cpos, thr, used, slot_base, slots, spos,
                     visited, log):
     """``_kernels.fill`` as it was before its explicit stack: one call per
     column on the path."""
@@ -122,57 +128,61 @@ def _fill_recursive(c, s, alive, match, cptr, cagents, cpos, thr, used, slot_bas
         m = match[a]
         if m < 0:
             log.append((slots, s, slots[s]))
+            log.append((spos, s, spos[s]))
             log.append((match, a, m))
             slots[s] = a
+            spos[s] = cpos[k]
             match[a] = c
             return True
         if visited[m]:
             continue
         visited[m] = True
         if _fill_recursive(m, slots.index(a, slot_base[m], slot_base[m] + used[m]), alive, match,
-                           cptr, cagents, cpos, thr, used, slot_base, slots, visited, log):
+                           cptr, cagents, cpos, thr, used, slot_base, slots, spos, visited, log):
             log.append((slots, s, slots[s]))
+            log.append((spos, s, spos[s]))
             log.append((match, a, m))
             slots[s] = a
+            spos[s] = cpos[k]
             match[a] = c
             return True
     return False
 
 
-def _augment_run(augment, engine, match, used, slots):
+def _augment_run(augment, engine, match, used, slots, spos):
     """``augment_pass`` without its stop, on copies of the given lists: each
     search's result and marks, then the lists."""
-    match, used, slots = match[:], used[:], slots[:]
+    match, used, slots, spos = match[:], used[:], slots[:], spos[:]
     searches = []
     visited = [False] * len(engine.cap)
     for u in engine.order:
         if engine.alive[u] and match[u] < 0:
             got = augment(u, engine.indptr, engine.cats, engine.epos, engine.thr, engine.cap, used,
-                          engine.slot_base, slots, match, visited)
+                          engine.slot_base, slots, spos, match, visited)
             searches.append((u, got, visited[:]))
             if got:
                 visited = [False] * len(engine.cap)
-    return searches, match, used, slots
+    return searches, match, used, slots, spos
 
 
-def _fill_run(fill, engine, alive, match, used, slots):
+def _fill_run(fill, engine, alive, match, used, slots, spos):
     """``fill_pass`` without its stop, on copies of the given lists: each
     search's result and marks, the lists, and the log with each list named."""
-    match, used, slots = match[:], used[:], slots[:]
+    match, used, slots, spos = match[:], used[:], slots[:], spos[:]
     searches, log = [], []
     visited = [False] * len(engine.cap)
     for c in range(len(engine.cap)):
         while used[c] < engine.cap[c] and not visited[c]:
             visited[c] = True
             got = fill(c, engine.slot_base[c] + used[c], alive, match, engine.cptr, engine.cagents,
-                       engine.cpos, engine.thr, used, engine.slot_base, slots, visited, log)
+                       engine.cpos, engine.thr, used, engine.slot_base, slots, spos, visited, log)
             searches.append((c, got, visited[:]))
             if not got:
                 break
             used[c] += 1
             visited = [False] * len(engine.cap)
-    names = {id(match): "match", id(slots): "slots"}
-    return searches, match, used, slots, [(names[id(v)], k, old) for v, k, old in log]
+    names = {id(match): "match", id(slots): "slots", id(spos): "spos"}
+    return searches, match, used, slots, spos, [(names[id(v)], k, old) for v, k, old in log]
 
 
 def _greedy_state(engine):
@@ -180,25 +190,28 @@ def _greedy_state(engine):
     match = [-1] * len(engine.alive)
     used = [0] * len(engine.cap)
     slots = [-1] * sum(engine.cap)
+    spos = [-1] * len(slots)
     _kernels.greedy(engine.order, engine.alive, match, engine.indptr, engine.cats, engine.epos,
-                    engine.thr, engine.cap, used, engine.slot_base, slots)
-    return match, used, slots
+                    engine.thr, engine.cap, used, engine.slot_base, slots, spos)
+    return match, used, slots, spos
 
 
 def _unseated(engine, rng, share):
     """The engine's lists with about ``share`` of its pairs dropped and some
-    matched agents killed: (alive, match, used, slots), all copies."""
+    matched agents killed: (alive, match, used, slots, spos), all copies."""
     alive, match, used, slots = engine.alive[:], engine.match[:], engine.used[:], engine.slots[:]
+    spos = engine.spos[:]
     for c, base in enumerate(engine.slot_base):
-        held = slots[base:base + used[c]]
-        kept = [a for a in held if rng.random() >= share]
-        for a in held:
-            if a not in kept:
-                match[a] = -1
-                alive[a] = rng.random() < 0.8
-        slots[base:base + len(kept)] = kept
+        held = list(zip(slots[base:base + used[c]], spos[base:base + used[c]]))
+        kept = [h for h in held if rng.random() >= share]
+        for h in held:
+            if h not in kept:
+                match[h[0]] = -1
+                alive[h[0]] = rng.random() < 0.8
+        slots[base:base + len(kept)] = [a for a, _ in kept]
+        spos[base:base + len(kept)] = [p for _, p in kept]
         used[c] = len(kept)
-    return alive, match, used, slots
+    return alive, match, used, slots, spos
 
 
 def _assert_same_searches(engine, rng):
@@ -240,11 +253,11 @@ def test_explicit_stack_searches_equal_the_recursive_ones_on_chains():
             alive[gone] = False
             used[match[gone]] -= 1
             match[gone] = -1
-            fills = [_fill_run(fill, engine, alive, match, used, slots)
+            fills = [_fill_run(fill, engine, alive, match, used, slots, engine.spos)
                      for fill in (_fill_recursive, _kernels.fill)]
             assert fills[0] == fills[1]
-            searches, match, _, _, log = fills[1]
+            searches, match, _, _, _, log = fills[1]
             if tail:
                 assert searches == [(0, False, [True] * (m + 1))] and not log
             else:
-                assert match[m] == 0 and len(log) == 2 * m
+                assert match[m] == 0 and len(log) == 3 * m

@@ -371,6 +371,24 @@ def test_with_split(reserve, running):
         Instance(reserve.agent_names, reserve.categories[:2], reserve.baseline)
 
 
+def test_unreserved_ids_are_found_once_per_instance(reserve, monkeypatch):
+    calls = []
+    find = Instance._unreserved_id
+    monkeypatch.setattr(Instance, "_unreserved_id",
+                        lambda self, kind: calls.append(self) or find(self, kind))
+    for _ in range(3):
+        assert reserve.split == (0, 1) and reserve.has_unreserved
+        assert reserve.unreserved_quota == 1
+    assert len(calls) == 2
+    # a copy at another split finds its own, from its own categories
+    shifted = reserve.with_split(1, 0)
+    assert (shifted.split, shifted.unreserved_quota) == ((1, 0), 1)
+    assert [c for c in calls if c is shifted] == [shifted, shifted]
+    assert (shifted.unreserved_first_id, shifted.unreserved_last_id) == (
+        reserve.unreserved_first_id, reserve.unreserved_last_id)
+    assert len(calls) == 4
+
+
 def test_validate_matching(running):
     validate_matching(running, Matching({1: 1, 2: 0}))
     validate_matching(running, Matching({}))
