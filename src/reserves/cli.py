@@ -618,10 +618,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse ``argv`` once: with its command's own parser when ``argv[0]``
-    names one, else with the top parser, which reports a missing or unknown
-    command and answers ``-h``. Both raise the same messages, since
-    ``_Parser.error`` leaves out the program name."""
+    """Parse ``argv`` once, with its command's own parser if it names one."""
     top, commands = _parsers()
     own = commands.get(argv[0]) if argv else None
     return own.parse_args(argv[1:]) if own else top.parse_args(argv)

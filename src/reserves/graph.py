@@ -166,8 +166,10 @@ class _RejectionEngine:
 
         Only the pairs that die are unmatched: ``i``'s own and, in a column
         whose threshold pruning lowers, those of agents now ranked below it,
-        whose positions ``spos`` holds. Compaction moves each survivor's
-        position with her.
+        whose positions ``spos`` holds. The column's last holder takes a
+        dead holder's slot, with her position: ``fill`` finds a holder's
+        slot by her id, and only ``augment``, which ``_solve`` runs on fresh
+        lists, reads the holders in slot order.
         The new graph is a subgraph of the old one, so its maximum is at most
         the current size, and re-augmentation stops once the lost pairs are
         made up.
@@ -197,24 +199,25 @@ class _RejectionEngine:
         dropped = 0
         for c in hit:
             t = thr[c]
-            base, end = self.slot_base[c], self.slot_base[c] + used[c]
-            out = base
-            for s in range(base, end):
+            s = base = self.slot_base[c]
+            end = full = base + used[c]
+            while s < end:
                 a = slots[s]
                 if alive[a] and spos[s] <= t:
-                    if out < s:
-                        log.append((slots, out, slots[out]))
-                        log.append((spos, out, spos[out]))
-                        slots[out] = a
-                        spos[out] = spos[s]
-                    out += 1
-                else:
-                    log.append((match, a, c))
-                    match[a] = -1
-            if out < end:
+                    s += 1
+                    continue
+                log.append((match, a, c))
+                match[a] = -1
+                end -= 1
+                if s < end:  # the column's last holder takes the dead one's slot
+                    log.append((slots, s, a))
+                    log.append((spos, s, spos[s]))
+                    slots[s] = slots[end]
+                    spos[s] = spos[end]
+            if end < full:
                 log.append((used, c, used[c]))
-                used[c] = out - base
-                dropped += end - out
+                used[c] = end - base
+                dropped += full - end
         if dropped:
             got = _kernels.fill_pass(alive, match, *self._fill_args, dropped, log)
             self._size += got - dropped
