@@ -114,6 +114,24 @@ timeout 10 "${cli[@]}" check --instance "$work/wide.json" \
 if grep -q Traceback "$work/wide.err"; then
   cat "$work/wide.err"; echo "the 20000-category check printed a traceback"; exit 1
 fi
+# one ineligible agent seated in each of c0 .. c49: the report lists the
+# first 10 witnesses (reserves.axioms.MAX_WITNESSES) and counts all 50
+python -c "import json, sys; doc = json.load(open(sys.argv[1])); a = {}
+for c in doc['categories'][:50]:
+    eligible = {x for tier in c['tiers'] for x in tier}
+    a[next(x for x in doc['agents'] if x not in eligible and x not in a)] = c['name']
+json.dump({'assignment': a}, open(sys.argv[2], 'w'))" "$work/wide.json" "$work/wide-bad.json"
+status=0
+timeout 10 "${cli[@]}" check --instance "$work/wide.json" \
+  --matching "$work/wide-bad.json" --axioms eligibility \
+  2>"$work/wide.err" >"$work/wide-bad-report.json" || status=$?
+[ "$status" -eq 1 ] || { echo "eligibility check of 50 ineligible pairs exited $status, expected 1"; exit 1; }
+if grep -q Traceback "$work/wide.err"; then
+  cat "$work/wide.err"; echo "the 50-pair eligibility check printed a traceback"; exit 1
+fi
+python -c "import json, sys; (r,) = json.load(open(sys.argv[1]))
+sys.exit((len(r['witnesses']), r['witnesses_total']) != (10, 50))" "$work/wide-bad-report.json" \
+  || { echo "the 50-pair eligibility report does not list 10 of 50 witnesses"; exit 1; }
 # mg and oaa are srr with every unreserved unit processed last and first
 python -c "import json, sys; sys.path.insert(0, 'tests')
 from documents import RESERVE_DOC, RUNNING_DOC

@@ -1,15 +1,16 @@
 """Axiom checkers and manipulation harnesses.
 
 Every checker is a pure predicate over (instance, matching) that returns an
-AxiomReport carrying concrete witnesses for each violation found, capped at a
-configurable count. The two harnesses re-run a rule, named as on the command
-line (``rr``, ``srr`` or ``soft``, the keys of ``HARNESS_RULES``), under
-enumerated priority decreases of unmatched agents, so their verdicts are
-relative to the tested manipulation space; ``harness_reports`` gives both
-from one re-run per manipulation. srr and soft run at the split the
-instance carries, which every manipulated instance keeps. A manipulated
-instance outside the rule's domain is a report the agent cannot make under
-that rule: it is skipped, and the report's note counts it.
+AxiomReport carrying concrete witnesses for each violation found: the first
+``MAX_WITNESSES`` of them, with ``witnesses_total`` counting all. The two
+harnesses re-run a rule, named as on the command line (``rr``, ``srr`` or
+``soft``, the keys of ``HARNESS_RULES``), under enumerated priority
+decreases of unmatched agents, so their verdicts are relative to the tested
+manipulation space; ``harness_reports`` gives both from one re-run per
+manipulation. srr and soft run at the split the instance carries, which
+every manipulated instance keeps. A manipulated instance outside the rule's
+domain is a report the agent cannot make under that rule: it is skipped,
+and the report's note counts it.
 """
 
 from __future__ import annotations
@@ -89,24 +90,22 @@ class NonBossinessWitness:
     matched_after: bool
 
 
-def _report(axiom: str, witnesses: list, max_witnesses: int,
-            note: Optional[str] = None) -> AxiomReport:
-    return AxiomReport(axiom, not witnesses, tuple(witnesses[:max_witnesses]),
+def _report(axiom: str, witnesses: list, note: Optional[str] = None) -> AxiomReport:
+    # MAX_WITNESSES is read at each call, so a test can patch it
+    return AxiomReport(axiom, not witnesses, tuple(witnesses[:MAX_WITNESSES]),
                        len(witnesses), note)
 
 
-def check_eligibility(inst: Instance, m: Matching,
-                      max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
+def check_eligibility(inst: Instance, m: Matching) -> AxiomReport:
     """Every matched agent must be strictly above the empty slot in her category."""
     validate_matching(inst, m)
     rankings = [cat.ranking for cat in inst.categories]
     bad = [EligibilityWitness(i, c) for i, c in m.pairs()
            if rankings[c].positions[i] >= rankings[c].cutoff]
-    return _report("eligibility", bad, max_witnesses)
+    return _report("eligibility", bad)
 
 
-def check_respect_priorities(inst: Instance, m: Matching,
-                             max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
+def check_respect_priorities(inst: Instance, m: Matching) -> AxiomReport:
     """No unmatched agent may strictly outrank a matched agent in her category."""
     validate_matching(inst, m)
     matched = m.assignment
@@ -122,17 +121,16 @@ def check_respect_priorities(inst: Instance, m: Matching,
             pj = positions[j]
             bad.extend(EnvyWitness(j, i, c) for pi, i in holders if pj < pi)
     bad.sort(key=lambda w: (w.envier, w.envied, w.category))
-    return _report("respect_priorities", bad, max_witnesses)
+    return _report("respect_priorities", bad)
 
 
-def check_nonwasteful(inst: Instance, m: Matching,
-                      max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
+def check_nonwasteful(inst: Instance, m: Matching) -> AxiomReport:
     """No unit may sit idle while an eligible agent is unmatched."""
     validate_matching(inst, m)
     counts = Counter(m.assignment.values())
     bad = sorted((i, c) for c, cat in enumerate(inst.categories) if counts[c] < cat.quota
                  for i in inst.agents_eligible_for(c) if not m.is_matched(i))
-    return _report("nonwasteful", [WasteWitness(i, c) for i, c in bad], max_witnesses)
+    return _report("nonwasteful", [WasteWitness(i, c) for i, c in bad])
 
 
 def _keep_last(fn: Callable[[Instance], int]) -> Callable[[Instance], int]:
@@ -180,40 +178,36 @@ def _preferential_optimum_given(inst: Instance, m: Matching) -> int:
     return placed if placed == units else _preferential_optimum(inst)
 
 
-def check_max_size(inst: Instance, m: Matching,
-                   max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
+def check_max_size(inst: Instance, m: Matching) -> AxiomReport:
     """The matching must be as large as any eligibility-compliant matching.
     Only defined for compliant matchings; raises otherwise."""
     elig = check_eligibility(inst, m)
     if not elig.holds:
         raise ValidationError("max-size is defined only for eligibility-compliant matchings")
-    return _max_size_report(inst, m, max_witnesses)
+    return _max_size_report(inst, m)
 
 
-def _max_size_report(inst: Instance, m: Matching,
-                     max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
+def _max_size_report(inst: Instance, m: Matching) -> AxiomReport:
     """check_max_size's report on a matching already known to be compliant."""
     # the unreserved pools admit every agent, so on top of a maximum
     # preferential matching they fill every unit or seat everyone left over
     pref = _preferential_optimum_given(inst, m)
     optimum = pref + min(inst.unreserved_quota, inst.n - pref)
     bad = [] if m.size() == optimum else [SizeGapWitness(m.size(), optimum)]
-    return _report("max_size", bad, max_witnesses)
+    return _report("max_size", bad)
 
 
-def check_max_beneficiary(inst: Instance, m: Matching,
-                          max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
+def check_max_beneficiary(inst: Instance, m: Matching) -> AxiomReport:
     """As many agents as possible must be matched into preferential categories."""
     validate_matching(inst, m)
     pref = set(inst.preferential_ids)
     found = sum(1 for c in m.assignment.values() if c in pref)
     optimum = _preferential_optimum_given(inst, m)
     bad = [] if found == optimum else [SizeGapWitness(found, optimum)]
-    return _report("max_beneficiary", bad, max_witnesses)
+    return _report("max_beneficiary", bad)
 
 
-def check_order_preservation(inst: Instance, m: Matching,
-                             max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
+def check_order_preservation(inst: Instance, m: Matching) -> AxiomReport:
     """No two agents may be able to swap so that an earlier pool (early
     unreserved, then preferential, then late unreserved) gains a
     higher-priority agent without breaking eligibility."""
@@ -258,11 +252,14 @@ def check_order_preservation(inst: Instance, m: Matching,
                     if below < len(group):
                         bad.extend(OrderWitness(2, i, j, cl, cj) for _, j in group[below:])
     bad.sort(key=lambda w: (w.clause, w.agent_early, w.agent_late))
-    return _report("order_preservation", bad, max_witnesses)
+    return _report("order_preservation", bad)
 
 
-#: the rules the harnesses can re-run, by CLI name: instance -> matching
-HARNESS_RULES = {"rr": lambda inst: rr(inst)[0], "srr": srr, "soft": soft_reserves}
+#: the rules the harnesses can re-run, by CLI name: instance -> matching. Each
+#: entry looks its rule up at call time, so a module global rebound later (a
+#: test's spy, a tracer's wrapper) is the one that runs.
+HARNESS_RULES = {"rr": lambda inst: rr(inst)[0], "srr": lambda inst: srr(inst),
+                 "soft": lambda inst: soft_reserves(inst)}
 
 
 def _rule_fn(rule: str) -> Callable[[Instance], Matching]:
@@ -272,8 +269,8 @@ def _rule_fn(rule: str) -> Callable[[Instance], Matching]:
     return HARNESS_RULES[rule]
 
 
-def harness_reports(rule: str, inst: Instance, base: Matching, budget: int = 8,
-                    max_witnesses: int = MAX_WITNESSES) -> dict[str, AxiomReport]:
+def harness_reports(rule: str, inst: Instance, base: Matching,
+                    budget: int = 8) -> dict[str, AxiomReport]:
     """The strategyproofness and weak non-bossiness reports, by axiom name,
     from one re-run of ``rule`` per enumerated priority decrease of each
     agent unmatched in ``base``, the rule's matching on ``inst``."""
@@ -298,25 +295,22 @@ def harness_reports(rule: str, inst: Instance, base: Matching, budget: int = 8,
     note = f"within tested manipulation space (hide subsets + demotions, budget={budget})"
     if skipped:
         note += f"; {skipped} manipulated instances outside the rule's domain skipped"
-    return {"strategyproofness": _report("strategyproofness", manipulations, max_witnesses,
-                                         note),
-            "weak_nonbossiness": _report("weak_nonbossiness", bossy, max_witnesses, note)}
+    return {"strategyproofness": _report("strategyproofness", manipulations, note),
+            "weak_nonbossiness": _report("weak_nonbossiness", bossy, note)}
 
 
-def check_strategyproofness(rule: str, inst: Instance, budget: int = 8,
-                            max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
+def check_strategyproofness(rule: str, inst: Instance, budget: int = 8) -> AxiomReport:
     """No unmatched agent may become matched by lowering her own reports.
 
     Exhaustive over hide-subsets of each unmatched agent's preferential
     eligibilities; single-tier demotions are added up to ``budget``.
     """
     base = _rule_fn(rule)(inst)
-    return harness_reports(rule, inst, base, budget, max_witnesses)["strategyproofness"]
+    return harness_reports(rule, inst, base, budget)["strategyproofness"]
 
 
-def check_weak_nonbossiness(rule: str, inst: Instance, budget: int = 8,
-                            max_witnesses: int = MAX_WITNESSES) -> AxiomReport:
+def check_weak_nonbossiness(rule: str, inst: Instance, budget: int = 8) -> AxiomReport:
     """An unmatched agent's priority decrease may not flip the matched status
     of anyone below her in the baseline."""
     base = _rule_fn(rule)(inst)
-    return harness_reports(rule, inst, base, budget, max_witnesses)["weak_nonbossiness"]
+    return harness_reports(rule, inst, base, budget)["weak_nonbossiness"]

@@ -120,24 +120,21 @@ def parse_matching_doc(inst: Instance, raw: bytes) -> Matching:
     return m
 
 
-def matching_doc(inst: Instance, m: Matching) -> dict[str, str]:
-    names = category_display_names(inst)
-    return {inst.agent_names[a]: names[c] for a, c in m.pairs()}
+def matching_doc(inst: Instance, m: Matching, cat_names: dict[int, str]) -> dict[str, str]:
+    return {inst.agent_names[a]: cat_names[c] for a, c in m.pairs()}
 
 
-def utilization_doc(inst: Instance, m: Matching) -> dict:
-    names = category_display_names(inst)
+def utilization_doc(inst: Instance, m: Matching, cat_names: dict[int, str]) -> dict:
     used = Counter(m.assignment.values())
     out: dict[str, dict[str, int]] = {}
     for c, cat in enumerate(inst.categories):
-        entry = out.setdefault(names[c], {"used": 0, "quota": 0})
+        entry = out.setdefault(cat_names[c], {"used": 0, "quota": 0})
         entry["used"] += used[c]
         entry["quota"] += cat.quota
     return out
 
 
-def _names_in_witness(inst: Instance, doc: dict) -> dict:
-    cat_names = category_display_names(inst)
+def _names_in_witness(inst: Instance, cat_names: dict[int, str], doc: dict) -> dict:
     for key, val in doc.items():
         if key in ("agent", "envier", "envied", "affected", "agent_early", "agent_late"):
             doc[key] = inst.agent_names[val]
@@ -148,9 +145,12 @@ def _names_in_witness(inst: Instance, doc: dict) -> dict:
 
 def report_doc(inst: Instance, report: axioms.AxiomReport) -> dict:
     """The report as a JSON object, built shallowly: every field but the
-    witnesses is a scalar, and each witness holds ints only."""
+    witnesses is a scalar, and each witness holds ints only. The category
+    names are looked up once, and only for a report with witnesses."""
+    cat_names = report.witnesses and category_display_names(inst)
     doc = {"axiom": report.axiom, "holds": report.holds,
-           "witnesses": [_names_in_witness(inst, dict(vars(w))) for w in report.witnesses],
+           "witnesses": [_names_in_witness(inst, cat_names, dict(vars(w)))
+                         for w in report.witnesses],
            "witnesses_total": report.witnesses_total}
     if report.note is not None:
         doc["note"] = report.note
@@ -388,11 +388,12 @@ def _run_rule(rule: str, inst: Instance, doc: dict, args):
 def cmd_allocate(args) -> int:
     inst, doc = load_instance(args.instance)
     matching, work, trace = _run_rule(args.rule, inst, doc, args)
+    cat_names = category_display_names(work)
     out = {
         "rule": args.rule,
-        "assignment": matching_doc(work, matching),
+        "assignment": matching_doc(work, matching, cat_names),
         "size": matching.size(),
-        "utilization": utilization_doc(work, matching),
+        "utilization": utilization_doc(work, matching, cat_names),
     }
     if args.rule not in ("rr", "da") and work.split is not None:
         # the rules that process the unreserved pools in order echo their split

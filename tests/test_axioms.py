@@ -65,7 +65,7 @@ def _respect_priorities_reference(inst, m):
     return sorted(bad, key=lambda w: (w.envier, w.envied, w.category))
 
 
-def test_respect_priorities_matches_pairwise_reference():
+def test_respect_priorities_matches_pairwise_reference(monkeypatch):
     violations = below_slot = 0
     for seed, cut in itertools.product(range(300), (False, True)):
         rng = random.Random(seed)
@@ -93,7 +93,8 @@ def test_respect_priorities_matches_pairwise_reference():
         below_slot += any(inst.position(c, i) > inst.categories[c].ranking.cutoff
                           for i, c in m.pairs())
         for cap in (0, 3, 10, 1000):
-            rep = check_respect_priorities(inst, m, max_witnesses=cap)
+            monkeypatch.setattr(axioms, "MAX_WITNESSES", cap)
+            rep = check_respect_priorities(inst, m)
             assert rep.witnesses == tuple(ref[:cap]), seed
             assert (rep.holds, rep.witnesses_total) == (not ref, len(ref)), seed
     assert violations > 200 and below_slot > 50, (violations, below_slot)
@@ -140,7 +141,7 @@ def _random_matching(rng, inst, ineligible):
     return Matching(assignment)
 
 
-def test_nonwasteful_and_order_preservation_match_pairwise_references():
+def test_nonwasteful_and_order_preservation_match_pairwise_references(monkeypatch):
     witnesses = {"nonwasteful": 0, "order_preservation": 0}
     for seed in range(3000):
         rng = random.Random(seed)
@@ -155,7 +156,8 @@ def test_nonwasteful_and_order_preservation_match_pairwise_references():
                                  (check_order_preservation, _order_preservation_reference)):
             ref = reference(inst, m)
             for cap in (1, 3, 10, 1000):
-                rep = check(inst, m, max_witnesses=cap)
+                monkeypatch.setattr(axioms, "MAX_WITNESSES", cap)
+                rep = check(inst, m)
                 assert (rep.holds, rep.witnesses, rep.witnesses_total, rep.note) == \
                     (not ref, tuple(ref[:cap]), len(ref), None), (seed, rep.axiom, cap)
             witnesses[rep.axiom] += len(ref)
@@ -433,7 +435,7 @@ def test_rr_outputs_pass_every_checker():
             assert check(inst, m).holds
 
 
-def test_witnesses_are_capped_with_full_count():
+def test_witnesses_are_capped_with_full_count(monkeypatch):
     n = 13
     names = [str(i) for i in range(n)]
     doc = {"agents": names, "baseline": names,
@@ -443,7 +445,8 @@ def test_witnesses_are_capped_with_full_count():
     rep = check_respect_priorities(inst, Matching({n - 1: 0}))
     assert not rep.holds
     assert len(rep.witnesses) == 10 and rep.witnesses_total == 12
-    wide = check_respect_priorities(inst, Matching({n - 1: 0}), max_witnesses=20)
+    monkeypatch.setattr(axioms, "MAX_WITNESSES", 20)
+    wide = check_respect_priorities(inst, Matching({n - 1: 0}))
     assert len(wide.witnesses) == 12
 
 

@@ -13,7 +13,7 @@ import pytest
 from conftest import (EARLY_POOL_DOC, RESERVE_DOC, RUNNING_DOC, SCAN_DOC, chain_doc,
                       make_instance, reference_size)
 import reserves
-from reserves import axioms, oracle
+from reserves import axioms, cli, oracle
 from reserves.cli import build_parser, main, report_doc
 from reserves.generator import random_instance, random_instance_document
 from reserves.model import (Instance, Matching, ParseError, enumerate_priority_decreases,
@@ -138,6 +138,49 @@ def test_check_envy_witness_and_exit_code(tmp_path, capsys):
     assert code == 1
     w = reports[0]["witnesses"][0]
     assert (w["envier"], w["envied"], w["category"]) == ("2", "3", "c1")
+
+
+def _count_name_tables(monkeypatch) -> list:
+    built = []
+    names = cli.category_display_names
+    monkeypatch.setattr(cli, "category_display_names",
+                        lambda inst: built.append(inst) or names(inst))
+    return built
+
+
+def test_a_report_names_its_witnesses_from_one_table(tmp_path, capsys, monkeypatch):
+    # agent 1 holds c1 below its empty slot, 2 and 3 outrank her there, and
+    # c2's unit lies idle while 2 is eligible for it: three reports with four
+    # witnesses. Each witness built its own table before, plus one to read
+    # the matching.
+    built = _count_name_tables(monkeypatch)
+    code, reports = run(capsys, with_files(tmp_path, [
+        "check", "--instance", RUNNING_DOC, "--matching", {"assignment": {"1": "c1"}},
+        "--axioms", "eligibility,respect_priorities,nonwasteful"]))
+    with_witnesses = [r for r in reports if r["witnesses"]]
+    assert code == 1 and len(with_witnesses) == 3
+    assert sum(len(r["witnesses"]) for r in reports) == 4
+    assert reports[1]["witnesses"][0] == {"envier": "2", "envied": "1", "category": "c1"}
+    assert len(built) <= len(with_witnesses) + 1
+    # allocate builds one table for the assignment and the utilization
+    built.clear()
+    code, doc = run(capsys, ["allocate", "--rule", "rr", "--instance",
+                             write(tmp_path, "i.json", RUNNING_DOC)])
+    assert code == 0 and doc["utilization"]["c1"] == {"used": 1, "quota": 1}
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("rule, name", [("srr", "srr"), ("soft", "soft_reserves")])
+def test_split_rules_run_the_module_global_they_name(tmp_path, capsys, monkeypatch,
+                                                      rule, name):
+    # a wrapper rebound onto axioms' global (a tracer's) sees every call
+    calls = []
+    fn = getattr(axioms, name)
+    monkeypatch.setattr(axioms, name, lambda inst: calls.append(inst) or fn(inst))
+    code, doc = run(capsys, ["allocate", "--rule", rule, "--split", "0,1", "--instance",
+                             write(tmp_path, "i.json", RESERVE_DOC)])
+    assert code == 0 and doc["assignment"] == {"1": "c", "2": "c_u"}
+    assert len(calls) == 1
 
 
 def test_check_rule_output_all_axioms(tmp_path, capsys):
