@@ -140,20 +140,15 @@ def test_check_envy_witness_and_exit_code(tmp_path, capsys):
     assert (w["envier"], w["envied"], w["category"]) == ("2", "3", "c1")
 
 
-def _count_name_tables(monkeypatch) -> list:
-    built = []
-    names = cli.category_display_names
-    monkeypatch.setattr(cli, "category_display_names",
-                        lambda inst: built.append(inst) or names(inst))
-    return built
-
-
 def test_a_report_names_its_witnesses_from_one_table(tmp_path, capsys, monkeypatch):
     # agent 1 holds c1 below its empty slot, 2 and 3 outrank her there, and
     # c2's unit lies idle while 2 is eligible for it: three reports with four
     # witnesses. Each witness built its own table before, plus one to read
     # the matching.
-    built = _count_name_tables(monkeypatch)
+    built = []
+    names = cli.category_display_names
+    monkeypatch.setattr(cli, "category_display_names",
+                        lambda inst: built.append(inst) or names(inst))
     code, reports = run(capsys, with_files(tmp_path, [
         "check", "--instance", RUNNING_DOC, "--matching", {"assignment": {"1": "c1"}},
         "--axioms", "eligibility,respect_priorities,nonwasteful"]))
